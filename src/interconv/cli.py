@@ -430,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--set", action="append", metavar="KEY=VALUE",
                            help="override one config key (repeatable)")
             p.add_argument("--seed", type=int, help="override the seed key")
-            p.add_argument("--workers", type=int, help="override the workers key")
+            p.add_argument("--workers", type=int, help="override the workers key (no effect)")
 
     p = sub.add_parser("synth", help="generate the synthetic parity benchmark")
     common(p)

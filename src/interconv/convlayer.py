@@ -13,17 +13,15 @@ travel with the stack so new data can be pushed through identically.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import DiscreteDataset, GridShape, RealDataset, WindowSpec, enumerate_windows, output_grid
 from .discretize import Discretizer, apply_discretizer, fit_discretizer
-from .errors import DataError, UndefinedMetricError
-from .bda import backward_drop
-from .iscore import encode_cells, partition_stats
-from .metrics import auc
+from .errors import DataError
+from .iscore import MAX_SUBSET, encode_cells
+from .metrics import grouped_auc, segment_sums
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,27 +60,117 @@ class FittedConvLayer:
         return len(self.features)
 
 
-def _fit_window(
-    data: DiscreteDataset, index: int, window: tuple[int, ...]
-) -> WindowFeature:
-    trace = backward_drop(data, window)
-    stats = partition_stats(data, trace.best_subset)
-    means = stats.sums / stats.counts
-    fallback = float(data.response.mean())
-    feature_col = means[stats.row_cells]
-    try:
-        train_auc = auc(data.response, feature_col)
-    except UndefinedMetricError:
-        train_auc = float("nan")
-    return WindowFeature(
-        window_index=index + 1,
-        selected_subset=trace.best_subset,
-        cell_keys=stats.keys,
-        cell_means=means,
-        fallback_mean=fallback,
-        iscore=trace.best_score,
-        train_auc=train_auc,
-    )
+# Bound on rows x candidate subsets in one key gather: the lockstep fit
+# groups that many keys at once, so this caps its working memory.
+GATHER_LIMIT = 2**17
+
+
+def _drop_one(size: int) -> np.ndarray:
+    """Row d lists the positions 0..size-1 without d."""
+    j = np.arange(size - 1)
+    return j + (j >= np.arange(size)[:, np.newaxis])
+
+
+def _group_cells(
+    xt: np.ndarray, y: np.ndarray, level_counts: np.ndarray, subsets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Occupied cells of every row of `subsets` (column indices, keyed as
+    `encode_cells` keys them): ascending keys, row counts and positive
+    counts, flat in subset order, plus each subset's number of cells."""
+    sizes = level_counts[subsets]
+    radix = np.ones_like(sizes)
+    np.cumprod(sizes[:, :-1], axis=1, out=radix[:, 1:])
+    keys = xt[subsets[:, 0]]
+    for j in range(1, subsets.shape[1]):
+        keys += xt[subsets[:, j]] * radix[:, j, np.newaxis]
+    # the response rides in the low bit (keys stay below 2**62), so one sort
+    # groups the cells and carries each row's label along
+    keys <<= 1
+    keys |= y
+    keys.sort(axis=1)
+    cells = keys >> 1
+    new = np.ones(keys.shape, dtype=bool)
+    np.not_equal(cells[:, 1:], cells[:, :-1], out=new[:, 1:])
+    starts = np.flatnonzero(new)
+    counts = np.diff(starts, append=keys.size)
+    positives = np.add.reduceat(keys.ravel() & 1, starts)
+    return cells.ravel()[starts], counts, positives, new.sum(axis=1)
+
+
+def _take(arrays: tuple[np.ndarray, ...], lengths: np.ndarray, picks: np.ndarray):
+    """The runs `picks` of flat arrays split into runs of `lengths`."""
+    first = (np.cumsum(lengths) - lengths)[picks]
+    taken = lengths[picks]
+    idx = np.repeat(first - (np.cumsum(taken) - taken), taken) + np.arange(taken.sum())
+    return tuple(a[idx] for a in arrays), taken
+
+
+def _fit_chunk(
+    data: DiscreteDataset,
+    windows: np.ndarray,
+    first_index: int,
+    ybar: float,
+    denom: float,
+    fallback: float,
+) -> list[WindowFeature]:
+    """Backward dropping on every window of `windows` at once.
+
+    Each stage scores the candidate drops of every window together with the
+    float ops of `influence_score`; `argmax` over candidates in ascending
+    position order drops the lowest index on ties, and a stage replaces the
+    trajectory best only when it scores strictly higher.
+    """
+    # only the chunk's own columns, transposed so each subset's keys are a row
+    cols, local = np.unique(windows, return_inverse=True)
+    xt = np.ascontiguousarray(data.features[:, cols].T)
+    y = data.response
+    level_counts = data.level_counts[cols]
+    c = len(windows)
+    rows = np.arange(c)
+    best = np.full(c, -np.inf)
+    best_stage = np.zeros(c, dtype=np.int64)
+    # per stage: each window's surviving subset and the cells of that subset
+    subsets, cells, n_cells = [], [], []
+    cand = local.reshape(windows.shape)[:, np.newaxis, :]
+    while True:
+        n_cand, size = cand.shape[1:]
+        keys, counts, positives, lengths = _group_cells(xt, y, level_counts, cand.reshape(-1, size))
+        terms = counts.astype(np.float64) ** 2 * (positives / counts - ybar) ** 2
+        raw = segment_sums(terms, lengths)
+        scores = (raw / denom if denom > 0.0 else np.zeros_like(raw)).reshape(c, n_cand)
+        pick = scores.argmax(axis=1)
+        score = scores[rows, pick]
+        subsets.append(cand[rows, pick])
+        stage_cells, stage_lengths = _take((keys, counts, positives), lengths, rows * n_cand + pick)
+        cells.append(stage_cells)
+        n_cells.append(stage_lengths)
+        improved = score > best
+        best[improved] = score[improved]
+        best_stage[improved] = len(subsets) - 1
+        if size == 1:
+            break
+        cand = subsets[-1][:, _drop_one(size)]
+
+    stacked = tuple(np.concatenate(a) for a in zip(*cells))
+    (keys, counts, positives), lengths = _take(stacked, np.concatenate(n_cells), best_stage * c + rows)
+    means = positives / counts
+    aucs = grouped_auc(np.repeat(rows, lengths), means, positives, counts, c)
+    stage_subsets = [cols[s].tolist() for s in subsets]
+    ends = np.cumsum(lengths).tolist()
+    return [
+        WindowFeature(
+            window_index=first_index + w + 1,
+            selected_subset=tuple(stage_subsets[t][w]),
+            cell_keys=keys[end - n : end],
+            cell_means=means[end - n : end],
+            fallback_mean=fallback,
+            iscore=score,
+            train_auc=train_auc,
+        )
+        for w, t, n, end, score, train_auc in zip(
+            range(c), best_stage.tolist(), lengths.tolist(), ends, best.tolist(), aucs.tolist()
+        )
+    ]
 
 
 def fit_layer(
@@ -94,20 +182,36 @@ def fit_layer(
 ) -> FittedConvLayer:
     """Fit every window position of `spec` over `grid` on training data.
 
-    `workers` > 1 fits windows on a thread pool; results are collected in
-    window order, so the worker count never changes the output.
+    Every window has the same size k, so backward dropping runs in lockstep
+    over chunks of windows (`GATHER_LIMIT` rows x subsets per key gather).
+    Subsets, I-scores, cells and training AUCs are bitwise those of
+    `backward_drop`, `partition_stats` and `auc` run window by window.
+    `workers` is accepted for compatibility and has no effect.
     """
     if data.width != grid.size:
         raise DataError(f"grid {grid.rows}x{grid.cols} needs {grid.size} columns, data has {data.width}")
-    windows = enumerate_windows(grid, spec)
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_fit_window, data, i, w) for i, w in enumerate(windows)]
-            features = tuple(f.result() for f in futures)
-    else:
-        features = tuple(_fit_window(data, i, w) for i, w in enumerate(windows))
+    windows = np.array(enumerate_windows(grid, spec), dtype=np.int64)
+    k = windows.shape[1]
+    if k > MAX_SUBSET:
+        raise DataError(f"subset size {k} exceeds the limit of {MAX_SUBSET}")
+    # candidates in ascending position order are what backward_drop visits
+    assert (np.diff(windows, axis=1) > 0).all(), "window pixels must be ascending"
+    cells_per_window = np.prod(data.level_counts[windows].astype(object), axis=1)
+    overflow = np.flatnonzero(cells_per_window > 2**62)
+    if overflow.size:
+        subset = tuple(windows[overflow[0]].tolist())
+        raise DataError(f"partition of subset {subset} overflows 64-bit cell keys")
+
+    y = data.response.astype(np.float64)
+    ybar = y.mean()
+    denom = data.n * float(y.var())
+    fallback = float(data.response.mean())
+    chunk = max(1, GATHER_LIMIT // (data.n * max(k - 1, 1)))
+    features: list[WindowFeature] = []
+    for lo in range(0, len(windows), chunk):
+        features += _fit_chunk(data, windows[lo : lo + chunk], lo, ybar, denom, fallback)
     return FittedConvLayer(
-        input_grid=grid, spec=spec, level_counts=data.level_counts, features=features
+        input_grid=grid, spec=spec, level_counts=data.level_counts, features=tuple(features)
     )
 
 
@@ -150,6 +254,30 @@ class ConvStack:
         return self.layers[-1].output_grid
 
 
+def _fit_stack(
+    data: DiscreteDataset, grid: GridShape, specs: list[WindowSpec], rediscretize: str
+) -> tuple[ConvStack, list[RealDataset]]:
+    """Fit a chain of layers; also returns every layer's engineered
+    features for `data`, as `stack_outputs` would compute them."""
+    if not specs:
+        raise DataError("at least one window spec is required")
+    layers: list[FittedConvLayer] = []
+    rediscretizers: list[Discretizer] = []
+    outputs: list[RealDataset] = []
+    current = data
+    current_grid = grid
+    for i, spec in enumerate(specs):
+        layer = fit_layer(current, current_grid, spec)
+        layers.append(layer)
+        outputs.append(transform(layer, current))
+        if i + 1 < len(specs):
+            disc = fit_discretizer(outputs[-1], rediscretize)
+            rediscretizers.append(disc)
+            current = apply_discretizer(disc, outputs[-1])
+            current_grid = layer.output_grid
+    return ConvStack(layers=tuple(layers), rediscretizers=tuple(rediscretizers)), outputs
+
+
 def stack_layers(
     data: DiscreteDataset,
     grid: GridShape,
@@ -158,23 +286,11 @@ def stack_layers(
     rediscretize: str = "median",
     workers: int | None = None,
 ) -> ConvStack:
-    """Fit a chain of layers, re-binarizing engineered features between them."""
-    if not specs:
-        raise DataError("at least one window spec is required")
-    layers: list[FittedConvLayer] = []
-    rediscretizers: list[Discretizer] = []
-    current = data
-    current_grid = grid
-    for i, spec in enumerate(specs):
-        layer = fit_layer(current, current_grid, spec, workers=workers)
-        layers.append(layer)
-        if i + 1 < len(specs):
-            engineered = transform(layer, current)
-            disc = fit_discretizer(engineered, rediscretize)
-            rediscretizers.append(disc)
-            current = apply_discretizer(disc, engineered)
-            current_grid = layer.output_grid
-    return ConvStack(layers=tuple(layers), rediscretizers=tuple(rediscretizers))
+    """Fit a chain of layers, re-binarizing engineered features between them.
+
+    `workers` is accepted for compatibility and has no effect.
+    """
+    return _fit_stack(data, grid, specs, rediscretize)[0]
 
 
 def stack_outputs(stack: ConvStack, data: DiscreteDataset) -> list[RealDataset]:
@@ -189,6 +305,15 @@ def stack_outputs(stack: ConvStack, data: DiscreteDataset) -> list[RealDataset]:
     return outputs
 
 
+def _join_outputs(outputs: list[RealDataset], response: np.ndarray, mode: str) -> RealDataset:
+    if mode == "last":
+        return outputs[-1]
+    if mode == "concat":
+        joined = np.concatenate([o.features for o in outputs], axis=1)
+        return RealDataset(joined, response)
+    raise DataError(f"unknown feature mode {mode!r}")
+
+
 def transform_stack(
     stack: ConvStack, data: DiscreteDataset, *, mode: str = "last"
 ) -> RealDataset:
@@ -197,13 +322,7 @@ def transform_stack(
     mode "last" keeps the deepest layer's features; "concat" joins every
     layer's features left to right (shallow first).
     """
-    outputs = stack_outputs(stack, data)
-    if mode == "last":
-        return outputs[-1]
-    if mode == "concat":
-        joined = np.concatenate([o.features for o in outputs], axis=1)
-        return RealDataset(joined, data.response)
-    raise DataError(f"unknown feature mode {mode!r}")
+    return _join_outputs(stack_outputs(stack, data), data.response, mode)
 
 
 def export_feature_map(

@@ -93,6 +93,73 @@ def auc(y_true, scores) -> float:
     return roc_curve(y_true, scores).auc
 
 
+def segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """`np.sum` of each run of `lengths[i]` consecutive `values`, bitwise as
+    if every run were summed on its own.
+
+    np.sum blocks its pairwise sum by length, so zero padding would change
+    the last bits; runs of one length are summed as rows of one C-ordered
+    block instead.
+    """
+    out = np.empty(len(lengths), dtype=np.float64)
+    first = np.cumsum(lengths) - lengths
+    for length in np.unique(lengths):
+        rows = np.flatnonzero(lengths == length)
+        out[rows] = values[first[rows, np.newaxis] + np.arange(length)].sum(axis=1)
+    return out
+
+
+def grouped_auc(
+    groups: np.ndarray, scores: np.ndarray, positives: np.ndarray, counts: np.ndarray, n_groups: int
+) -> np.ndarray:
+    """`auc` of every group of score bins, from per-bin class counts alone.
+
+    Bin i stands for `counts[i]` rows of group `groups[i]` that all score
+    `scores[i]`, `positives[i]` of them labelled 1. Each group's value is
+    bitwise what `auc` returns on its rows written out, or NaN where the
+    group lacks a class. Bins of one group may share a score (1/2 and 2/4);
+    every group needs at least one bin.
+    """
+    order = np.lexsort((-scores, groups))
+    g = groups[order]
+    s = scores[order]
+    tp_bin = positives[order]
+    fp_bin = counts[order] - tp_bin
+    # runs of one distinct score per group, in descending score order
+    new = np.ones(len(g), dtype=bool)
+    new[1:] = (g[1:] != g[:-1]) | (s[1:] != s[:-1])
+    starts = np.flatnonzero(new)
+    run_group = g[starts]
+    runs = np.bincount(run_group, minlength=n_groups)
+    tp = np.cumsum(np.add.reduceat(tp_bin, starts))
+    fp = np.cumsum(np.add.reduceat(fp_bin, starts))
+    last = np.cumsum(runs) - 1
+    tp -= np.repeat(np.concatenate([[0], tp[last[:-1]]]), runs)
+    fp -= np.repeat(np.concatenate([[0], fp[last[:-1]]]), runs)
+    pos, neg = tp[last], fp[last]
+
+    # roc_curve's cut points per group: [0, 0, cumulative count per run]
+    width = runs + 2
+    slots = np.arange(len(starts)) + 2 * (run_group + 1)
+    tp_cut = np.zeros(width.sum(), dtype=np.int64)
+    fp_cut = np.zeros(width.sum(), dtype=np.int64)
+    tp_cut[slots] = tp
+    fp_cut[slots] = fp
+    valid = (pos > 0) & (neg > 0)
+    # a one-class group divides by 1 here and is set to NaN below
+    sens = tp_cut / np.repeat(np.where(valid, pos, 1), width)
+    spec = 1.0 - fp_cut / np.repeat(np.where(valid, neg, 1), width)
+    x = 1.0 - spec
+    terms = np.diff(x) * (sens[:-1] + sens[1:]) / 2.0
+    # drop the pairs that straddle two groups
+    keep = np.ones(len(terms), dtype=bool)
+    keep[(np.cumsum(width) - 1)[:-1]] = False
+    area = segment_sums(terms[keep], runs + 1)
+    out = np.full(n_groups, np.nan)
+    out[valid] = area[valid]
+    return out
+
+
 def write_roc_csv(path: str | Path, curve: RocCurve) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .convlayer import ConvStack, stack_layers, stack_outputs, transform_stack
+from .convlayer import ConvStack, _fit_stack, _join_outputs, stack_outputs, transform_stack
 from .core import GridShape, RealDataset, WindowSpec, output_grid
 from .dataio import ModelBundle, save_bundle
 from .discretize import Discretizer, apply_discretizer, fit_discretizer
@@ -66,7 +65,8 @@ def fit_discretizer_spec(data: RealDataset, text: str) -> Discretizer:
 @dataclass(frozen=True)
 class PipelineConfig:
     """Everything the fit path needs. `grid=None` infers a square grid from
-    the data width when window layers are present."""
+    the data width when window layers are present. `workers` (>= 0) is
+    accepted for compatibility and has no effect: layers fit serially."""
 
     grid: GridShape | None = None
     discretizer: str = "median"
@@ -134,21 +134,13 @@ def fit_pipeline(
     config: PipelineConfig, data: RealDataset, val_data: RealDataset | None = None
 ) -> tuple[ModelBundle, FitReport]:
     """Fit the full pipeline on `data` and return the bundle plus a report."""
-    # workers == 0 means "use all available cores"
-    workers = config.workers if config.workers > 0 else (os.cpu_count() or 1)
     if config.layers:
         grid = resolve_grid(config, data.width)
         chain = geometry_chain(grid, config.layers)
         disc = fit_discretizer_spec(data, config.discretizer)
         ddata = apply_discretizer(disc, data)
-        stack = stack_layers(
-            ddata,
-            grid,
-            list(config.layers),
-            rediscretize=config.rediscretizer,
-            workers=workers,
-        )
-        features = transform_stack(stack, ddata, mode=config.features_mode)
+        stack, outputs = _fit_stack(ddata, grid, list(config.layers), config.rediscretizer)
+        features = _join_outputs(outputs, ddata.response, config.features_mode)
         val_features = None
         if val_data is not None:
             if val_data.width != data.width:

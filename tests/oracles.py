@@ -3,11 +3,15 @@
 Everything here is written the slow, obvious way on purpose: plain loops
 and dictionaries, no shared code with interconv. If a fast path and its
 oracle agree, both would have to be wrong in the same way to hide a bug.
+The one exception is `reference_window_feature`, which composes the
+package's own per-window reference functions to pin the lockstep layer fit.
 """
 
 import itertools
 
 import numpy as np
+
+from interconv import UndefinedMetricError, auc, backward_drop, partition_stats
 
 
 def pairwise_auc(y_true, scores):
@@ -168,3 +172,19 @@ def parity_bayes_auc(modules, visible):
             elif sp == sn:
                 total += 0.5 * wp * wn
     return total / (sum(pos.values()) * sum(neg.values()))
+
+
+def reference_window_feature(data, window):
+    """One window fitted the per-window way: backward dropping, then the
+    winning subset's cells, then the training AUC of its feature column
+    (NaN for a one-class response). Returns (subset, iscore, cell keys,
+    cell means, fallback mean, train AUC)."""
+    trace = backward_drop(data, window)
+    stats = partition_stats(data, trace.best_subset)
+    means = stats.sums / stats.counts
+    try:
+        train_auc = auc(data.response, means[stats.row_cells])
+    except UndefinedMetricError:
+        train_auc = float("nan")
+    fallback = float(data.response.mean())
+    return trace.best_subset, trace.best_score, stats.keys, means, fallback, train_auc

@@ -7,9 +7,12 @@ here with plain dictionaries.
 
 import numpy as np
 import pytest
-from oracles import naive_influence
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import naive_influence, reference_window_feature
 
 from conftest import binary_dataset
+from interconv import convlayer
 from interconv import (
     DataError,
     DiscreteDataset,
@@ -216,3 +219,101 @@ def test_transform_rejects_extra_levels():
     )
     with pytest.raises(DataError):
         transform(layer, wide)
+
+
+def assert_matches_reference(data, grid, spec):
+    """Every field of every fitted window equals the per-window reference."""
+    layer = fit_layer(data, grid, spec)
+    windows = enumerate_windows(grid, spec)
+    assert layer.n_windows == len(windows)
+    for b, (feature, window) in enumerate(zip(layer.features, windows), start=1):
+        subset, iscore, keys, means, fallback, train_auc = reference_window_feature(data, window)
+        assert feature.window_index == b
+        assert feature.selected_subset == subset
+        assert np.float64(feature.iscore).tobytes() == np.float64(iscore).tobytes()
+        assert feature.cell_keys.dtype == keys.dtype
+        assert np.array_equal(feature.cell_keys, keys)
+        assert feature.cell_means.tobytes() == means.tobytes()
+        assert np.float64(feature.fallback_mean).tobytes() == np.float64(fallback).tobytes()
+        assert np.float64(feature.train_auc).tobytes() == np.float64(train_auc).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.integers(1, 5),
+    st.integers(1, 2),
+    st.integers(2, 3),
+    st.integers(1, 40),
+    st.sampled_from(["random", "zeros", "ones", "parity"]),
+    st.booleans(),
+    st.booleans(),
+)
+def test_lockstep_fit_equals_per_window_reference(
+    seed, rows, cols, window, stride, levels, n, response, duplicate, constant
+):
+    """Random grids with planted exact ties: duplicate and constant columns
+    tie candidate drops within a stage and subsets across the trajectory."""
+    window = min(window, rows, cols)
+    gen = np.random.default_rng(seed)
+    x = gen.integers(0, levels, size=(n, rows * cols))
+    if duplicate and rows * cols > 1:
+        x[:, 1] = x[:, 0]
+        x[:, -1] = x[:, rows * cols // 2]
+    if constant:
+        x[:, gen.integers(0, rows * cols)] = gen.integers(0, levels)
+    if response == "random":
+        y = gen.integers(0, 2, size=n)
+    elif response == "parity":
+        y = x[:, : min(2, rows * cols)].sum(axis=1) % 2
+    else:
+        y = np.full(n, int(response == "ones"))
+    data = DiscreteDataset(x, y, np.full(rows * cols, levels))
+    assert_matches_reference(data, GridShape(rows, cols), WindowSpec(window=window, stride=stride))
+
+
+def test_lockstep_fit_equals_reference_on_a_five_by_five_window():
+    # 25 pixels at 3 levels: 3**25 possible cells, the largest window allowed
+    gen = np.random.default_rng(17)
+    x = gen.integers(0, 3, size=(60, 30))
+    x[:, 7] = x[:, 3]
+    y = (x[:, 0] + x[:, 6]) % 2
+    data = DiscreteDataset(x, y, np.full(30, 3))
+    assert_matches_reference(data, GridShape(5, 6), WindowSpec(window=5, stride=1))
+
+
+def test_lockstep_fit_is_the_same_in_any_chunking(monkeypatch):
+    train = binary_dataset(90, 64, seed=18)
+    whole = fit_layer(train, GridShape(8, 8), WindowSpec(window=3, stride=1))
+    monkeypatch.setattr(convlayer, "GATHER_LIMIT", 1)  # one window per chunk
+    single = fit_layer(train, GridShape(8, 8), WindowSpec(window=3, stride=1))
+    for a, b in zip(whole.features, single.features):
+        assert a.window_index == b.window_index
+        assert a.selected_subset == b.selected_subset
+        assert a.iscore == b.iscore
+        assert a.cell_keys.tobytes() == b.cell_keys.tobytes()
+        assert a.cell_means.tobytes() == b.cell_means.tobytes()
+        assert a.train_auc == b.train_auc
+
+
+def test_fit_rejects_windows_over_the_subset_limit_before_any_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("windows were fitted")
+
+    monkeypatch.setattr(convlayer, "_fit_chunk", no_work)
+    train = binary_dataset(20, 36, seed=19)
+    with pytest.raises(DataError, match="exceeds the limit of 25"):
+        fit_layer(train, GridShape(6, 6), WindowSpec(window=6, stride=1))
+
+
+def test_fit_rejects_cell_keys_that_overflow_64_bits():
+    # the first window fits in 64-bit keys; the second window's columns
+    # 1, 2, 4, 5 have 2**16 levels each, 2**64 possible cells
+    x = np.random.default_rng(20).integers(0, 2, size=(10, 6))
+    counts = np.array([2, 2**16, 2**16, 2, 2**16, 2**16])
+    train = DiscreteDataset(x, np.arange(10) % 2, counts)
+    assert fit_layer(train, GridShape(2, 3), WindowSpec(window=1, stride=1)).n_windows == 6
+    with pytest.raises(DataError, match=r"partition of subset \(1, 2, 4, 5\) overflows 64-bit"):
+        fit_layer(train, GridShape(2, 3), WindowSpec(window=2, stride=1))

@@ -20,6 +20,7 @@ from interconv import (
     specificity,
     write_roc_csv,
 )
+from interconv.metrics import grouped_auc, segment_sums
 
 
 def test_worked_example_perfect_separation():
@@ -154,3 +155,65 @@ def test_curve_is_a_frozen_record():
     assert isinstance(curve, RocCurve)
     with pytest.raises(AttributeError):
         curve.auc = 0.0
+
+
+def expanded_auc(scores, positives, counts):
+    """`auc` on the bins written out as rows, NaN for one class."""
+    y = np.concatenate([[1] * p + [0] * (c - p) for p, c in zip(positives, counts)])
+    s = np.repeat(scores, counts)
+    try:
+        return auc(y, s)
+    except UndefinedMetricError:
+        return float("nan")
+
+
+def assert_grouped_auc_is_bitwise(groups, scores, positives, counts, n_groups):
+    got = grouped_auc(groups, scores, positives, counts, n_groups)
+    for g in range(n_groups):
+        mine = groups == g
+        want = expanded_auc(scores[mine], positives[mine], counts[mine])
+        assert np.float64(got[g]).tobytes() == np.float64(want).tobytes()
+
+
+def test_grouped_auc_merges_cells_with_equal_means():
+    # cells 1/2 and 2/4 both score 0.5 and must form one step of the curve
+    positives = np.array([1, 2, 3, 0, 1, 2])
+    counts = np.array([2, 4, 3, 5, 3, 6])
+    scores = positives / counts
+    assert_grouped_auc_is_bitwise(np.zeros(6, dtype=np.int64), scores, positives, counts, 1)
+
+
+def test_grouped_auc_single_class_and_single_bin_groups():
+    groups = np.array([0, 0, 1, 2, 2])
+    positives = np.array([0, 0, 3, 2, 2])
+    counts = np.array([3, 1, 5, 4, 2])
+    got = grouped_auc(groups, positives / counts, positives, counts, 3)
+    assert np.isnan(got[0])  # no positives
+    assert got[1] == 0.5  # one bin of mixed labels: a single score
+    assert got[2] == 0.75  # positives at 0.5 and 1.0, negatives at 0.5
+    assert_grouped_auc_is_bitwise(groups, positives / counts, positives, counts, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 30), st.integers(1, 8))
+def test_grouped_auc_equals_auc_bitwise_under_heavy_ties(seed, n_groups, n_bins, max_count):
+    gen = np.random.default_rng(seed)
+    groups = np.sort(np.concatenate([np.arange(n_groups), gen.integers(0, n_groups, n_bins)]))
+    counts = gen.integers(1, max_count + 1, size=len(groups))
+    positives = gen.integers(0, counts + 1)
+    # cell means (equal ratios collide) or a handful of shared scores
+    if seed % 2:
+        scores = positives / counts
+    else:
+        scores = gen.integers(0, 3, size=len(groups)) / 3.0
+    assert_grouped_auc_is_bitwise(groups, scores, positives, counts, n_groups)
+
+
+def test_segment_sums_equal_per_segment_sums_bitwise():
+    gen = np.random.default_rng(21)
+    lengths = gen.choice([1, 2, 7, 8, 9, 127, 129, 1000, 9000], size=40)
+    values = gen.random(lengths.sum()) * gen.choice([1e-9, 1.0, 1e9], size=lengths.sum())
+    got = segment_sums(values, lengths)
+    bounds = np.cumsum(lengths)[:-1]
+    want = np.array([np.sum(v) for v in np.split(values, bounds)])
+    assert got.tobytes() == want.tobytes()
