@@ -7,12 +7,11 @@ response mean of its selected cell, and trains a small fully-connected
 classifier on the engineered features.
 """
 
-from .bda import BdaStep, BdaTrace, backward_drop, exhaustive_best_subset, trace_report
+from .bda import BdaStep, BdaTrace, backward_drop, trace_report
 from .convlayer import (
     ConvStack,
     FittedConvLayer,
     WindowFeature,
-    export_feature_map,
     fit_layer,
     stack_layers,
     stack_outputs,
@@ -45,9 +44,6 @@ from .errors import (
 )
 from .iscore import (
     InfluenceScore,
-    PartitionTable,
-    build_partition,
-    decode_cell,
     encode_cells,
     influence_score,
     partition_stats,

@@ -9,15 +9,11 @@ the trajectory-wide argmax, which may be the untouched initial subset (step 0).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .core import DiscreteDataset
-from .errors import DataError
 from .iscore import influence_score
-
-EXHAUSTIVE_LIMIT = 12
 
 
 @dataclass(frozen=True)
@@ -66,30 +62,6 @@ def backward_drop(data: DiscreteDataset, initial_subset: tuple[int, ...]) -> Bda
         if step.score > best.score:
             best = step
     return BdaTrace(steps=tuple(steps), best_subset=best.subset, best_score=best.score)
-
-
-def exhaustive_best_subset(
-    data: DiscreteDataset, initial_subset: tuple[int, ...]
-) -> tuple[tuple[int, ...], float]:
-    """Scan every non-empty subset of `initial_subset` for the highest score.
-
-    Oracle for the greedy trajectory; limited to 12 variables (4095 subsets).
-    Exact score ties resolve to the lexicographically smallest index tuple.
-    """
-    if len(initial_subset) > EXHAUSTIVE_LIMIT:
-        raise DataError(
-            f"exhaustive search limited to {EXHAUSTIVE_LIMIT} variables, got {len(initial_subset)}"
-        )
-    ordered = tuple(sorted(initial_subset))
-    best_subset: tuple[int, ...] | None = None
-    best_score = -np.inf
-    for r in range(1, len(ordered) + 1):
-        for cand in combinations(ordered, r):
-            s = _score(data, cand)
-            if s > best_score or (s == best_score and (best_subset is None or cand < best_subset)):
-                best_subset, best_score = cand, s
-    assert best_subset is not None
-    return best_subset, best_score
 
 
 def trace_report(trace: BdaTrace) -> str:

@@ -26,7 +26,6 @@ from .nn import TrainingHyper
 from .pgm import write_pgm
 from .pipeline import (
     PipelineConfig,
-    PRESETS,
     evaluate_bundle,
     fit_pipeline,
     format_report,
@@ -39,31 +38,39 @@ from .pipeline import (
     write_fit_outputs,
 )
 
+
+def _config_values(config: PipelineConfig) -> dict[str, str]:
+    """The pipeline and training keys of `config`, as a config file spells them."""
+    grid = "" if config.grid is None else f"{config.grid.rows}x{config.grid.cols}"
+    hyper = config.hyper
+    return {
+        "grid": grid,
+        "discretizer": config.discretizer,
+        "layers": " ".join(f"{s.window}:{s.stride}:{s.start}" for s in config.layers),
+        "rediscretizer": config.rediscretizer,
+        "features": config.features_mode,
+        "hidden": "none" if config.hidden is None else str(config.hidden),
+        "output_units": str(config.output_units),
+        "learning_rate": str(hyper.learning_rate),
+        "decay": str(hyper.decay),
+        "epochs": str(hyper.epochs),
+        "batch_size": str(hyper.batch_size),
+        "seed": str(hyper.seed),
+        "workers": str(config.workers),
+    }
+
+
 DEFAULTS: dict[str, str] = {
     # data
     "train": "",
     "val": "",
     "images": "",
-    "grid": "",
     "test_per_class": "0",
     "augment_per_class": "0",
     "noise_sd": "0.05",
-    # pipeline
     "preset": "",
-    "discretizer": "median",
-    "layers": "",
-    "rediscretizer": "median",
-    "features": "last",
-    "hidden": "none",
-    "output_units": "2",
-    # training
-    "learning_rate": "0.001",
-    "decay": "0.9",
-    "epochs": "50",
-    "batch_size": "32",
-    # misc
-    "seed": "0",
-    "workers": "0",
+    # pipeline, training, seed and workers: the library defaults
+    **_config_values(PipelineConfig()),
     # synth
     "synth_features": "36",
     "synth_train": "500",
@@ -174,15 +181,7 @@ def resolve_config(args: argparse.Namespace) -> dict[str, str]:
     resolved = dict(DEFAULTS)
     preset = user.get("preset", "")
     if preset:
-        if preset not in PRESETS:
-            raise ConfigError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
-        p = preset_config(preset)
-        resolved["grid"] = f"{p.grid.rows}x{p.grid.cols}"
-        resolved["layers"] = " ".join(
-            f"{s.window}:{s.stride}:{s.start}" for s in p.layers
-        )
-        resolved["features"] = p.features_mode
-        resolved["hidden"] = "none" if p.hidden is None else str(p.hidden)
+        resolved.update(_config_values(preset_config(preset)))
     resolved.update(user)
     return resolved
 

@@ -40,9 +40,6 @@ class WindowFeature:
     iscore: float
     train_auc: float
 
-    def means_by_key(self) -> dict[int, float]:
-        return {int(k): float(m) for k, m in zip(self.cell_keys, self.cell_means)}
-
 
 @dataclass(frozen=True, eq=False)
 class FittedConvLayer:
@@ -254,11 +251,18 @@ class ConvStack:
         return self.layers[-1].output_grid
 
 
-def _fit_stack(
-    data: DiscreteDataset, grid: GridShape, specs: list[WindowSpec], rediscretize: str
+def stack_layers(
+    data: DiscreteDataset,
+    grid: GridShape,
+    specs: list[WindowSpec],
+    *,
+    rediscretize: str = "median",
 ) -> tuple[ConvStack, list[RealDataset]]:
-    """Fit a chain of layers; also returns every layer's engineered
-    features for `data`, as `stack_outputs` would compute them."""
+    """Fit a chain of layers, re-binarizing engineered features between them.
+
+    Also returns every layer's engineered features for `data`, as
+    `stack_outputs` would compute them.
+    """
     if not specs:
         raise DataError("at least one window spec is required")
     layers: list[FittedConvLayer] = []
@@ -276,21 +280,6 @@ def _fit_stack(
             current = apply_discretizer(disc, outputs[-1])
             current_grid = layer.output_grid
     return ConvStack(layers=tuple(layers), rediscretizers=tuple(rediscretizers)), outputs
-
-
-def stack_layers(
-    data: DiscreteDataset,
-    grid: GridShape,
-    specs: list[WindowSpec],
-    *,
-    rediscretize: str = "median",
-    workers: int | None = None,
-) -> ConvStack:
-    """Fit a chain of layers, re-binarizing engineered features between them.
-
-    `workers` is accepted for compatibility and has no effect.
-    """
-    return _fit_stack(data, grid, specs, rediscretize)[0]
 
 
 def stack_outputs(stack: ConvStack, data: DiscreteDataset) -> list[RealDataset]:
@@ -324,13 +313,3 @@ def transform_stack(
     """
     return _join_outputs(stack_outputs(stack, data), data.response, mode)
 
-
-def export_feature_map(
-    layer: FittedConvLayer, data: DiscreteDataset, row_index: int
-) -> np.ndarray:
-    """One row's engineered features reshaped to the layer's output grid."""
-    if not (0 <= row_index < data.n):
-        raise DataError(f"row {row_index} out of range for {data.n} rows")
-    engineered = transform(layer, data)
-    out = layer.output_grid
-    return engineered.features[row_index].reshape(out.rows, out.cols)

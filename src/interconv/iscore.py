@@ -63,21 +63,6 @@ def encode_cells(
     return features[:, list(subset)] @ radix
 
 
-def decode_cell(
-    key: int, subset: tuple[int, ...], level_counts: np.ndarray
-) -> tuple[int, ...]:
-    """Invert a mixed-radix cell key back to one level per subset column."""
-    levels = []
-    rem = int(key)
-    for j in subset:
-        size = int(level_counts[j])
-        levels.append(rem % size)
-        rem //= size
-    if rem != 0:
-        raise DataError(f"cell key {key} out of range for subset {subset}")
-    return tuple(levels)
-
-
 @dataclass(frozen=True, eq=False)
 class CellStats:
     """Occupied cells of one partition: sorted keys, row counts, response sums.
@@ -99,27 +84,6 @@ def partition_stats(data: DiscreteDataset, subset: tuple[int, ...]) -> CellStats
     counts = np.bincount(row_cells, minlength=len(keys))
     sums = np.bincount(row_cells, weights=data.response.astype(np.float64), minlength=len(keys))
     return CellStats(keys=keys, counts=counts, sums=sums, row_cells=row_cells)
-
-
-@dataclass(frozen=True)
-class PartitionTable:
-    """Occupied cells of a subset's partition: key -> (count, response sum)."""
-
-    subset: tuple[int, ...]
-    cells: dict[int, tuple[int, float]]
-
-    @property
-    def n(self) -> int:
-        return sum(c for c, _ in self.cells.values())
-
-
-def build_partition(data: DiscreteDataset, subset: tuple[int, ...]) -> PartitionTable:
-    stats = partition_stats(data, subset)
-    cells = {
-        int(k): (int(c), float(s))
-        for k, c, s in zip(stats.keys.tolist(), stats.counts.tolist(), stats.sums.tolist())
-    }
-    return PartitionTable(subset=tuple(subset), cells=cells)
 
 
 @dataclass(frozen=True)

@@ -76,10 +76,20 @@ class MlpModel:
     hyper: TrainingHyper = field(default_factory=TrainingHyper)
 
 
-def init_model(arch: MlpArchitecture, hyper: TrainingHyper | None = None) -> MlpModel:
-    """Seeded uniform(-0.05, 0.05) weights and zeroed RMSprop accumulators."""
+def init_model(
+    arch: MlpArchitecture,
+    hyper: TrainingHyper | None = None,
+    *,
+    rng: np.random.Generator | None = None,
+) -> MlpModel:
+    """Uniform(-0.05, 0.05) weights and zeroed RMSprop accumulators.
+
+    The weights are drawn from `rng`, by default a generator seeded from
+    `hyper.seed`; `train` passes its own so the same stream then shuffles.
+    """
     hyper = hyper or TrainingHyper()
-    rng = np.random.default_rng(hyper.seed)
+    if rng is None:
+        rng = np.random.default_rng(hyper.seed)
     weights = tuple(
         rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape) for shape in arch.layer_shapes()
     )
@@ -128,7 +138,11 @@ def _forward_parts(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray | None, n
 
 
 def forward(model: MlpModel, features: np.ndarray) -> np.ndarray | float:
-    """Predicted probability of class 1 for one row or a matrix of rows."""
+    """Predicted probability of class 1 for one row or a matrix of rows.
+
+    Only `model.arch` and `model.weights` are read, so a `ModelBundle`
+    serves as well.
+    """
     x, single = _as_matrix(features, model.arch.input_width)
     _, probs = _forward_parts(model, x)
     yhat = probs[:, -1]
@@ -208,15 +222,7 @@ def train(
     if data.width != arch.input_width:
         raise DataError(f"architecture expects {arch.input_width} features, data has {data.width}")
     rng = np.random.default_rng(hyper.seed)
-    weights = tuple(
-        rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape) for shape in arch.layer_shapes()
-    )
-    model = MlpModel(
-        arch=arch,
-        weights=weights,
-        rms_state=tuple(np.zeros(shape) for shape in arch.layer_shapes()),
-        hyper=hyper,
-    )
+    model = init_model(arch, hyper, rng=rng)
     x, y = data.features, data.response.astype(np.float64)
     n = x.shape[0]
     train_losses: list[float] = []

@@ -13,15 +13,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .convlayer import ConvStack, _fit_stack, _join_outputs, stack_outputs, transform_stack
-from .core import GridShape, RealDataset, WindowSpec, output_grid
+from .convlayer import ConvStack, _join_outputs, stack_layers, stack_outputs, transform_stack
+from .core import DiscreteDataset, GridShape, RealDataset, WindowSpec, output_grid
 from .dataio import ModelBundle, save_bundle
 from .discretize import Discretizer, apply_discretizer, fit_discretizer
 from .errors import ConfigError, DataError
 from .metrics import RocCurve, roc_curve, sensitivity, specificity
 from .nn import (
     MlpArchitecture,
-    MlpModel,
     TrainingHyper,
     TrainResult,
     forward,
@@ -76,7 +75,7 @@ class PipelineConfig:
     hidden: int | None = None
     output_units: int = 2
     hyper: TrainingHyper = field(default_factory=TrainingHyper)
-    workers: int = 1
+    workers: int = 0
 
     def __post_init__(self) -> None:
         if self.features_mode not in FEATURE_MODES:
@@ -125,7 +124,6 @@ def classifier_width(chain: list[GridShape], mode: str) -> int:
 @dataclass(frozen=True, eq=False)
 class FitReport:
     geometry: list[GridShape]
-    stack: ConvStack | None
     train_result: TrainResult
     parameters: int
 
@@ -134,17 +132,19 @@ def fit_pipeline(
     config: PipelineConfig, data: RealDataset, val_data: RealDataset | None = None
 ) -> tuple[ModelBundle, FitReport]:
     """Fit the full pipeline on `data` and return the bundle plus a report."""
+    if val_data is not None and val_data.width != data.width:
+        raise DataError("validation data width does not match training data")
     if config.layers:
         grid = resolve_grid(config, data.width)
         chain = geometry_chain(grid, config.layers)
         disc = fit_discretizer_spec(data, config.discretizer)
         ddata = apply_discretizer(disc, data)
-        stack, outputs = _fit_stack(ddata, grid, list(config.layers), config.rediscretizer)
+        stack, outputs = stack_layers(
+            ddata, grid, list(config.layers), rediscretize=config.rediscretizer
+        )
         features = _join_outputs(outputs, ddata.response, config.features_mode)
         val_features = None
         if val_data is not None:
-            if val_data.width != data.width:
-                raise DataError("validation data width does not match training data")
             val_d = apply_discretizer(disc, val_data)
             val_features = transform_stack(stack, val_d, mode=config.features_mode)
     else:
@@ -168,19 +168,13 @@ def fit_pipeline(
         weights=result.model.weights,
         hyper=config.hyper,
     )
-    report = FitReport(
-        geometry=chain, stack=stack, train_result=result, parameters=param_count(arch)
-    )
+    report = FitReport(geometry=chain, train_result=result, parameters=param_count(arch))
     return bundle, report
 
 
-def _bundle_model(bundle: ModelBundle) -> MlpModel:
-    state = tuple(np.zeros_like(w) for w in bundle.weights)
-    return MlpModel(arch=bundle.arch, weights=bundle.weights, rms_state=state, hyper=bundle.hyper)
-
-
-def bundle_features(bundle: ModelBundle, features: np.ndarray) -> RealDataset:
-    """Push raw feature rows through the bundle's discretizer and stack."""
+def _input_rows(bundle: ModelBundle, features: np.ndarray) -> RealDataset | DiscreteDataset:
+    """Raw feature rows as the bundle's first stage sees them: discretized
+    when it has window layers, unchanged otherwise."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise DataError(f"expected a feature matrix, got shape {x.shape}")
@@ -189,14 +183,21 @@ def bundle_features(bundle: ModelBundle, features: np.ndarray) -> RealDataset:
         return dataset
     if bundle.discretizer is None:
         raise DataError("bundle has window layers but no discretizer")
-    ddata = apply_discretizer(bundle.discretizer, dataset)
-    return transform_stack(bundle.stack, ddata, mode=bundle.features_mode)
+    return apply_discretizer(bundle.discretizer, dataset)
+
+
+def bundle_features(bundle: ModelBundle, features: np.ndarray) -> RealDataset:
+    """Push raw feature rows through the bundle's discretizer and stack."""
+    rows = _input_rows(bundle, features)
+    if bundle.stack is None:
+        return rows
+    return transform_stack(bundle.stack, rows, mode=bundle.features_mode)
 
 
 def predict_bundle(bundle: ModelBundle, features: np.ndarray) -> np.ndarray:
     """Class-1 probability for every row of raw input features."""
     feats = bundle_features(bundle, features)
-    out = forward(_bundle_model(bundle), feats.features)
+    out = forward(bundle, feats.features)
     return np.asarray(out, dtype=np.float64)
 
 
@@ -205,12 +206,7 @@ def layer_maps(bundle: ModelBundle, features: np.ndarray) -> list[np.ndarray]:
     array per layer."""
     if bundle.stack is None:
         raise DataError("bundle has no window layers to map")
-    x = np.asarray(features, dtype=np.float64)
-    dataset = RealDataset(x, np.zeros(x.shape[0], dtype=np.int64))
-    if bundle.discretizer is None:
-        raise DataError("bundle has window layers but no discretizer")
-    ddata = apply_discretizer(bundle.discretizer, dataset)
-    outputs = stack_outputs(bundle.stack, ddata)
+    outputs = stack_outputs(bundle.stack, _input_rows(bundle, features))
     maps = []
     for layer, out in zip(bundle.stack.layers, outputs):
         g = layer.output_grid
@@ -355,7 +351,7 @@ def write_fit_outputs(
     save_bundle(bundle, paths["bundle"])
     paths["report"].write_text(format_report(bundle, report.train_result), encoding="utf-8")
     write_loss_csv(paths["loss"], report.train_result)
-    if report.stack is not None:
+    if bundle.stack is not None:
         paths["windows"] = out / "windows.csv"
-        write_windows_csv(paths["windows"], report.stack)
+        write_windows_csv(paths["windows"], bundle.stack)
     return paths

@@ -67,6 +67,21 @@ def brute_force_best_subset(features, response, initial):
     return best
 
 
+def decode_cell(key, subset, level_counts):
+    """Invert a mixed-radix cell key to one level per subset column, the
+    first column varying fastest. Raises ValueError for a key past the
+    last cell."""
+    levels = []
+    rem = int(key)
+    for j in subset:
+        size = int(level_counts[j])
+        levels.append(rem % size)
+        rem //= size
+    if rem != 0:
+        raise ValueError(f"cell key {key} out of range for subset {subset}")
+    return tuple(levels)
+
+
 def finite_difference_grads(loss_of_weights, weights, h=1e-6):
     """Central-difference gradient of a scalar loss over a weight tuple."""
     grads = []

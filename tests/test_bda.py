@@ -7,14 +7,7 @@ from hypothesis import strategies as st
 from oracles import brute_force_best_subset, naive_influence
 
 from conftest import binary_dataset
-from interconv import (
-    DataError,
-    DiscreteDataset,
-    backward_drop,
-    exhaustive_best_subset,
-    influence_score,
-    trace_report,
-)
+from interconv import DiscreteDataset, backward_drop, influence_score, trace_report
 
 
 def test_trace_structure(rng):
@@ -88,21 +81,15 @@ def test_greedy_never_beats_brute_force(rng):
         data = binary_dataset(40, 6, seed=100 + seed)
         initial = tuple(range(6))
         trace = backward_drop(data, initial)
-        subset, score = exhaustive_best_subset(data, initial)
+        _, score = brute_force_best_subset(data.features, data.response, initial)
         assert trace.best_score <= score + 1e-12
-        # the package's exhaustive scan must match the test's own brute force
-        oracle_subset, oracle_score = brute_force_best_subset(
-            data.features, data.response, initial
-        )
-        assert subset == oracle_subset
-        assert score == pytest.approx(oracle_score, rel=1e-12, abs=1e-12)
 
 
 def test_greedy_finds_global_best_with_clear_signal():
     data = binary_dataset(400, 8, seed=2, signal=(2, 5))
     initial = (1, 2, 5, 6)
     trace = backward_drop(data, initial)
-    subset, score = exhaustive_best_subset(data, initial)
+    subset, score = brute_force_best_subset(data.features, data.response, initial)
     assert trace.best_subset == subset == (2, 5)
     assert trace.best_score == pytest.approx(score, rel=1e-12)
 
@@ -116,15 +103,9 @@ def test_greedy_bounded_by_exhaustive_property(seed, width, n):
     )
     initial = tuple(range(width))
     trace = backward_drop(data, initial)
-    _, score = exhaustive_best_subset(data, initial)
+    _, score = brute_force_best_subset(data.features, data.response, initial)
     assert trace.best_score <= score + 1e-12
     assert all(s.score >= 0.0 for s in trace.steps)
-
-
-def test_exhaustive_size_limit():
-    data = binary_dataset(20, 13)
-    with pytest.raises(DataError):
-        exhaustive_best_subset(data, tuple(range(13)))
 
 
 def test_single_variable_start():

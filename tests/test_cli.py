@@ -1,11 +1,13 @@
 """Subcommand round trips through main(), including exit codes and the
 worker-count determinism guarantee."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from interconv import read_pgm, write_pgm
-from interconv.cli import main
+from interconv import PipelineConfig, read_pgm, write_pgm
+from interconv.cli import build_parser, build_pipeline_config, main, resolve_config
 
 
 def run(capsys, *argv):
@@ -168,6 +170,14 @@ def test_config_file_and_set_precedence(tmp_path, synth_dir, capsys):
     assert "epochs = 2" in resolved  # --set beats the file
     assert "seed = 1" in resolved
     assert len((out / "loss.csv").read_text().splitlines()) == 3
+
+
+def test_cli_defaults_are_the_library_defaults():
+    args = build_parser().parse_args(["fit", "--out", "x"])
+    config = build_pipeline_config(resolve_config(args))
+    library = PipelineConfig()
+    for field in dataclasses.fields(PipelineConfig):
+        assert getattr(config, field.name) == getattr(library, field.name), field.name
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):

@@ -19,7 +19,6 @@ from interconv import (
     GridShape,
     WindowSpec,
     enumerate_windows,
-    export_feature_map,
     fit_layer,
     stack_layers,
     stack_outputs,
@@ -144,26 +143,18 @@ def test_worker_count_does_not_change_the_fit():
         assert a.iscore == b.iscore
 
 
-def test_means_by_key_round_trip():
-    train = binary_dataset(60, 9, seed=10)
-    layer = fit_layer(train, GridShape(3, 3), WindowSpec(window=2, stride=1))
-    feature = layer.features[0]
-    mapping = feature.means_by_key()
-    assert len(mapping) == len(feature.cell_keys)
-    for k, m in zip(feature.cell_keys, feature.cell_means):
-        assert mapping[int(k)] == float(m)
-
-
 def test_stack_geometry_and_output_shapes():
     train = binary_dataset(120, 36, seed=11)
     specs = [WindowSpec(window=2, stride=1), WindowSpec(window=2, stride=1)]
-    stack = stack_layers(train, GridShape(6, 6), specs)
+    stack, fit_outputs = stack_layers(train, GridShape(6, 6), specs)
     assert len(stack.layers) == 2
     assert len(stack.rediscretizers) == 1
     assert (stack.layers[0].output_grid.rows, stack.layers[0].output_grid.cols) == (5, 5)
     assert (stack.output_grid.rows, stack.output_grid.cols) == (4, 4)
     outputs = stack_outputs(stack, train)
     assert [o.width for o in outputs] == [25, 16]
+    for fitted, replayed in zip(fit_outputs, outputs, strict=True):
+        assert np.array_equal(fitted.features, replayed.features)
     last = transform_stack(stack, train, mode="last")
     assert last.width == 16
     joined = transform_stack(stack, train, mode="concat")
@@ -175,7 +166,7 @@ def test_stack_geometry_and_output_shapes():
 def test_stack_second_layer_sees_rebinarized_features():
     train = binary_dataset(120, 36, seed=12)
     specs = [WindowSpec(window=2, stride=1), WindowSpec(window=2, stride=1)]
-    stack = stack_layers(train, GridShape(6, 6), specs)
+    stack, _ = stack_layers(train, GridShape(6, 6), specs)
     disc = stack.rediscretizers[0]
     assert disc.width == 25
     # replaying the recorded thresholds reproduces the second layer's input
@@ -189,20 +180,9 @@ def test_stack_second_layer_sees_rebinarized_features():
 
 def test_transform_stack_modes_validated():
     train = binary_dataset(50, 9, seed=13)
-    stack = stack_layers(train, GridShape(3, 3), [WindowSpec(window=2, stride=1)])
+    stack, _ = stack_layers(train, GridShape(3, 3), [WindowSpec(window=2, stride=1)])
     with pytest.raises(DataError):
         transform_stack(stack, train, mode="sum")
-
-
-def test_export_feature_map_shape_and_values():
-    train = binary_dataset(60, 36, seed=14)
-    layer = fit_layer(train, GridShape(6, 6), WindowSpec(window=2, stride=1))
-    grid = export_feature_map(layer, train, 3)
-    assert grid.shape == (5, 5)
-    flat = transform(layer, train).features[3]
-    assert np.array_equal(grid.ravel(), flat)
-    with pytest.raises(DataError):
-        export_feature_map(layer, train, 60)
 
 
 def test_fit_rejects_wrong_width():

@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import naive_influence
+from oracles import decode_cell, naive_influence
 
 from conftest import binary_dataset
 from interconv import (
     DataError,
     DiscreteDataset,
-    build_partition,
-    decode_cell,
     encode_cells,
     influence_score,
     partition_stats,
@@ -118,7 +116,7 @@ def test_encode_decode_round_trip(rng):
 
 def test_decode_rejects_out_of_range_key():
     levels = np.array([2, 2], dtype=np.int64)
-    with pytest.raises(DataError):
+    with pytest.raises(ValueError):
         decode_cell(4, (0, 1), levels)
 
 
@@ -130,16 +128,6 @@ def test_partition_stats_counts_and_sums():
     assert stats.counts.tolist() == [2, 3]
     assert stats.sums.tolist() == [1.0, 2.0]
     assert stats.keys[stats.row_cells].tolist() == [0, 0, 1, 1, 1]
-
-
-def test_partition_table_only_occupied_cells():
-    data = binary_dataset(30, 6, seed=4)
-    table = build_partition(data, (0, 1, 2))
-    assert table.n == 30
-    assert 0 < len(table.cells) <= 8
-    for key, (count, ysum) in table.cells.items():
-        assert 0 <= key < 8
-        assert 1 <= count and 0.0 <= ysum <= count
 
 
 def test_subset_validation():

@@ -193,6 +193,26 @@ def test_zero_epochs_keeps_initial_weights():
     assert result.train_losses == ()
 
 
+def test_init_and_shuffling_share_one_stream():
+    """One epoch replayed by hand: the generator that draws the initial
+    weights goes on to draw the batch order."""
+    data = _separable_data()
+    arch = MlpArchitecture(input_width=4, hidden=3, output_units=2)
+    hyper = TrainingHyper(epochs=1, batch_size=32, seed=4)
+    result = train(arch, data, hyper)
+    rng = np.random.default_rng(hyper.seed)
+    model = init_model(arch, hyper, rng=rng)
+    order = rng.permutation(data.n)
+    y = data.response.astype(np.float64)
+    for lo in range(0, data.n, hyper.batch_size):
+        batch = order[lo : lo + hyper.batch_size]
+        _, grads = loss_and_gradients(model, data.features[batch], y[batch])
+        model = rmsprop_step(model, grads)
+    for wa, wb in zip(result.model.weights, model.weights, strict=True):
+        assert np.array_equal(wa, wb)
+    assert result.train_losses == (bce_loss(y, forward(model, data.features)),)
+
+
 def test_validation_losses_recorded():
     data = _separable_data(seed=1)
     val = _separable_data(seed=2)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from interconv import pipeline
 from interconv import (
     ConfigError,
     DataError,
@@ -144,14 +145,24 @@ def test_fit_pipeline_flat():
     assert auc(y, predict_bundle(bundle, x)) > 0.8
 
 
-def test_fit_pipeline_validation_split():
+def test_fit_pipeline_validation_split(monkeypatch):
     data = synthetic_real(seed=2)
     val = synthetic_real(seed=3)
     _, report = fit_pipeline(small_config(), data, val_data=val)
     assert len(report.train_result.val_losses) == 5
+    _, flat_report = fit_pipeline(PipelineConfig(hyper=TrainingHyper(epochs=3)), data, val)
+    assert len(flat_report.train_result.val_losses) == 3
+
+    # a validation set of the wrong width is refused before any fitting
+    def no_fitting(*args, **kwargs):
+        raise AssertionError("fitting started before the validation set was checked")
+
+    monkeypatch.setattr(pipeline, "stack_layers", no_fitting)
+    monkeypatch.setattr(pipeline, "train", no_fitting)
     short = RealDataset(np.zeros((4, 9)), np.array([0, 1, 0, 1]))
-    with pytest.raises(DataError):
-        fit_pipeline(small_config(), data, val_data=short)
+    for config in (small_config(), PipelineConfig(hyper=TrainingHyper(epochs=3))):
+        with pytest.raises(DataError, match="validation data width"):
+            fit_pipeline(config, data, val_data=short)
 
 
 def test_evaluate_bundle_matches_metrics():
@@ -177,7 +188,7 @@ def test_layer_maps_shapes():
         layer_maps(flat, data.features[:3])
 
 
-def test_zero_workers_uses_all_cores():
+def test_workers_has_no_effect():
     data = synthetic_real(seed=7)
     serial, _ = fit_pipeline(small_config(workers=1), data)
     parallel, _ = fit_pipeline(small_config(workers=0), data)
