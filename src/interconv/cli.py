@@ -60,6 +60,7 @@ def _config_values(config: PipelineConfig) -> dict[str, str]:
     }
 
 
+_SYNTH_DEFAULTS = synth.ParityModelSpec()
 DEFAULTS: dict[str, str] = {
     # data
     "train": "",
@@ -67,15 +68,17 @@ DEFAULTS: dict[str, str] = {
     "images": "",
     "test_per_class": "0",
     "augment_per_class": "0",
-    "noise_sd": "0.05",
+    "noise_sd": str(dataio.AUGMENT_NOISE_SD),
     "preset": "",
     # pipeline, training, seed and workers: the library defaults
     **_config_values(PipelineConfig()),
-    # synth
-    "synth_features": "36",
-    "synth_train": "500",
-    "synth_test": "10000",
-    "synth_modules": "1,2:0.5;3,4,5:0.5",
+    # synth: the generator's defaults, module indices 1-based as _parse_modules reads them
+    "synth_features": str(_SYNTH_DEFAULTS.n_features),
+    "synth_train": str(_SYNTH_DEFAULTS.n_train),
+    "synth_test": str(_SYNTH_DEFAULTS.n_test),
+    "synth_modules": ";".join(
+        ",".join(str(j + 1) for j in idx) + f":{mix}" for idx, mix in _SYNTH_DEFAULTS.modules
+    ),
 }
 
 
@@ -169,10 +172,9 @@ def resolve_config(args: argparse.Namespace) -> dict[str, str]:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, _, value = item.partition("=")
         user[key.strip()] = value.strip()
-    if getattr(args, "seed", None) is not None:
-        user["seed"] = str(args.seed)
-    if getattr(args, "workers", None) is not None:
-        user["workers"] = str(args.workers)
+    for key in ("seed", "workers"):
+        if getattr(args, key, None) is not None:
+            user[key] = str(getattr(args, key))
 
     for key in user:
         if key not in DEFAULTS:
@@ -187,7 +189,7 @@ def resolve_config(args: argparse.Namespace) -> dict[str, str]:
 
 
 def build_pipeline_config(raw: dict[str, str]) -> PipelineConfig:
-    hidden = None if raw["hidden"] in ("", "none") else int(raw["hidden"])
+    hidden = None if raw["hidden"] in ("", "none") else _parse_int(raw, "hidden")
     hyper = TrainingHyper(
         learning_rate=_parse_float(raw, "learning_rate"),
         decay=_parse_float(raw, "decay"),
@@ -215,10 +217,6 @@ def write_resolved(out_dir: Path, raw: dict[str, str], extra: dict[str, str] | N
     (out_dir / "resolved.cfg").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _out_dir(args: argparse.Namespace) -> Path:
-    return Path(args.out)
-
-
 def load_table_or_images(path: str | Path) -> tuple[RealDataset, tuple[str, ...] | None]:
     """A dataset CSV, or an image corpus when the file is a path,label manifest."""
     path = Path(path)
@@ -237,18 +235,22 @@ def load_table_or_images(path: str | Path) -> tuple[RealDataset, tuple[str, ...]
 # subcommands
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
-    raw = resolve_config(args)
+def build_synth_spec(raw: dict[str, str]) -> synth.ParityModelSpec:
     n_features = _parse_int(raw, "synth_features")
-    spec = synth.ParityModelSpec(
+    return synth.ParityModelSpec(
         n_features=n_features,
         n_train=_parse_int(raw, "synth_train"),
         n_test=_parse_int(raw, "synth_test"),
         modules=_parse_modules(raw["synth_modules"], n_features),
         seed=_parse_int(raw, "seed"),
     )
+
+
+def cmd_synth(args: argparse.Namespace) -> int:
+    raw = resolve_config(args)
+    spec = build_synth_spec(raw)
     train_data, test_data = synth.generate(spec)
-    out = _out_dir(args)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dataio.write_dataset_csv(out / "train.csv", train_data)
     if test_data is not None:
@@ -273,13 +275,13 @@ def _load_fit_data(raw: dict[str, str], seed: int):
     if raw["images"]:
         images = dataio.load_images(raw["images"])
         heldout = None
-        test_per_class = int(raw["test_per_class"])
+        test_per_class = _parse_int(raw, "test_per_class")
         if test_per_class > 0:
             images, heldout = dataio.split_images(images, test_per_class, seed)
-        target = int(raw["augment_per_class"])
+        target = _parse_int(raw, "augment_per_class")
         if target > 0:
             images = dataio.augment_images(
-                images, target, noise_sd=float(raw["noise_sd"]), seed=seed
+                images, target, noise_sd=_parse_float(raw, "noise_sd"), seed=seed
             )
         return images.to_real_dataset(), heldout
     if raw["train"]:
@@ -298,7 +300,7 @@ def cmd_fit(args: argparse.Namespace, *, require_flat: bool = False) -> int:
     if config.layers:
         grid = resolve_grid(config, data.width)
         geometry_chain(grid, config.layers)
-    out = _out_dir(args)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_resolved(out, raw)
     bundle, report = fit_pipeline(config, data, val_data)
@@ -328,7 +330,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
     bundle = dataio.load_bundle(args.bundle)
     data, _ = load_table_or_images(args.data)
     feats = bundle_features(bundle, data.features)
-    out = _out_dir(args)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     engineered = RealDataset(feats.features, data.response)
     dataio.write_dataset_csv(out / "features.csv", engineered)
@@ -340,7 +342,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     bundle = dataio.load_bundle(args.bundle)
     data, sources = load_table_or_images(args.data)
     scores = predict_bundle(bundle, data.features)
-    out = _out_dir(args)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "predictions.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -356,7 +358,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     bundle = dataio.load_bundle(args.bundle)
     data, _ = load_table_or_images(args.data)
     summary, curve = evaluate_bundle(bundle, data, threshold=args.threshold)
-    out = _out_dir(args)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_roc_csv(out / "roc.csv", curve)
     text = (
@@ -388,7 +390,7 @@ def cmd_export_maps(args: argparse.Namespace) -> int:
     sel = np.array([r - 1 for r in rows])
     maps = layer_maps(bundle, data.features[sel])
     scores = predict_bundle(bundle, data.features[sel])
-    out = _out_dir(args)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     count = 0
     for li, layer_map in enumerate(maps, start=1):
@@ -404,7 +406,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     bundle = dataio.load_bundle(args.bundle)
     text = format_report(bundle)
     if args.out:
-        out = _out_dir(args)
+        out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / "report.txt").write_text(text, encoding="utf-8")
         print(f"wrote {out / 'report.txt'}")
@@ -496,10 +498,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (DataError, InterconvError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (InterconvError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

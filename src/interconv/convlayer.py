@@ -14,6 +14,7 @@ travel with the stack so new data can be pushed through identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,12 +42,29 @@ class WindowFeature:
     train_auc: float
 
 
+# A fitted layer's arrays, in the order the bundle stores them: per input
+# column its level count; per window its subset length, number of occupied
+# cells, fallback mean, I-score and training AUC; every window's subset and
+# cells laid end to end in window order.
+LAYER_ARRAYS = (
+    "level_counts", "subset_len", "subset_flat", "ncells",
+    "cell_keys", "cell_means", "fallback", "iscore", "auc",
+)
+
+
 @dataclass(frozen=True, eq=False)
 class FittedConvLayer:
     input_grid: GridShape
     spec: WindowSpec
     level_counts: np.ndarray
-    features: tuple[WindowFeature, ...]
+    subset_len: np.ndarray
+    subset_flat: np.ndarray
+    ncells: np.ndarray
+    cell_keys: np.ndarray
+    cell_means: np.ndarray
+    fallback: np.ndarray
+    iscore: np.ndarray
+    auc: np.ndarray
 
     @property
     def output_grid(self) -> GridShape:
@@ -54,7 +72,24 @@ class FittedConvLayer:
 
     @property
     def n_windows(self) -> int:
-        return len(self.features)
+        return len(self.subset_len)
+
+    @cached_property
+    def features(self) -> tuple[WindowFeature, ...]:
+        """One record per window; its arrays are views into the layer's."""
+        subsets = self.subset_flat.tolist()
+        per_window = zip(
+            self.subset_len.tolist(), np.cumsum(self.subset_len).tolist(),
+            self.ncells.tolist(), np.cumsum(self.ncells).tolist(),
+            self.fallback.tolist(), self.iscore.tolist(), self.auc.tolist(),
+        )
+        return tuple(
+            WindowFeature(
+                b, tuple(subsets[s_end - s_n : s_end]), self.cell_keys[c_end - c_n : c_end],
+                self.cell_means[c_end - c_n : c_end], fallback, iscore, train_auc,
+            )
+            for b, (s_n, s_end, c_n, c_end, fallback, iscore, train_auc) in enumerate(per_window, start=1)
+        )
 
 
 # Bound on rows x candidate subsets in one key gather: the lockstep fit
@@ -103,14 +138,11 @@ def _take(arrays: tuple[np.ndarray, ...], lengths: np.ndarray, picks: np.ndarray
 
 
 def _fit_chunk(
-    data: DiscreteDataset,
-    windows: np.ndarray,
-    first_index: int,
-    ybar: float,
-    denom: float,
-    fallback: float,
-) -> list[WindowFeature]:
-    """Backward dropping on every window of `windows` at once.
+    data: DiscreteDataset, windows: np.ndarray, ybar: float, denom: float
+) -> dict[str, np.ndarray]:
+    """Backward dropping on every window of `windows` at once; returns the
+    chunk's per-window arrays of `LAYER_ARRAYS` (all but level_counts and
+    fallback).
 
     Each stage scores the candidate drops of every window together with the
     float ops of `influence_score`; `argmax` over candidates in ascending
@@ -122,12 +154,14 @@ def _fit_chunk(
     xt = np.ascontiguousarray(data.features[:, cols].T)
     y = data.response
     level_counts = data.level_counts[cols]
-    c = len(windows)
+    c, k = windows.shape
     rows = np.arange(c)
     best = np.full(c, -np.inf)
     best_stage = np.zeros(c, dtype=np.int64)
-    # per stage: each window's surviving subset and the cells of that subset
-    subsets, cells, n_cells = [], [], []
+    # each window's best subset so far; stage t keeps its first k - t entries
+    best_subset = np.empty_like(windows)
+    # per stage: the cells of each window's surviving subset
+    cells, n_cells = [], []
     cand = local.reshape(windows.shape)[:, np.newaxis, :]
     while True:
         n_cand, size = cand.shape[1:]
@@ -137,37 +171,31 @@ def _fit_chunk(
         scores = (raw / denom if denom > 0.0 else np.zeros_like(raw)).reshape(c, n_cand)
         pick = scores.argmax(axis=1)
         score = scores[rows, pick]
-        subsets.append(cand[rows, pick])
+        subset = cand[rows, pick]
         stage_cells, stage_lengths = _take((keys, counts, positives), lengths, rows * n_cand + pick)
         cells.append(stage_cells)
         n_cells.append(stage_lengths)
         improved = score > best
         best[improved] = score[improved]
-        best_stage[improved] = len(subsets) - 1
+        best_stage[improved] = len(cells) - 1
+        best_subset[improved, :size] = subset[improved]
         if size == 1:
             break
-        cand = subsets[-1][:, _drop_one(size)]
+        cand = subset[:, _drop_one(size)]
 
     stacked = tuple(np.concatenate(a) for a in zip(*cells))
     (keys, counts, positives), lengths = _take(stacked, np.concatenate(n_cells), best_stage * c + rows)
     means = positives / counts
-    aucs = grouped_auc(np.repeat(rows, lengths), means, positives, counts, c)
-    stage_subsets = [cols[s].tolist() for s in subsets]
-    ends = np.cumsum(lengths).tolist()
-    return [
-        WindowFeature(
-            window_index=first_index + w + 1,
-            selected_subset=tuple(stage_subsets[t][w]),
-            cell_keys=keys[end - n : end],
-            cell_means=means[end - n : end],
-            fallback_mean=fallback,
-            iscore=score,
-            train_auc=train_auc,
-        )
-        for w, t, n, end, score, train_auc in zip(
-            range(c), best_stage.tolist(), lengths.tolist(), ends, best.tolist(), aucs.tolist()
-        )
-    ]
+    subset_len = k - best_stage
+    return {
+        "subset_len": subset_len,
+        "subset_flat": cols[best_subset[np.arange(k) < subset_len[:, np.newaxis]]],
+        "ncells": lengths,
+        "cell_keys": keys,
+        "cell_means": means,
+        "iscore": best,
+        "auc": grouped_auc(np.repeat(rows, lengths), means, positives, counts, c),
+    }
 
 
 def fit_layer(
@@ -202,21 +230,17 @@ def fit_layer(
     y = data.response.astype(np.float64)
     ybar = y.mean()
     denom = data.n * float(y.var())
-    fallback = float(data.response.mean())
     chunk = max(1, GATHER_LIMIT // (data.n * max(k - 1, 1)))
-    features: list[WindowFeature] = []
-    for lo in range(0, len(windows), chunk):
-        features += _fit_chunk(data, windows[lo : lo + chunk], lo, ybar, denom, fallback)
+    chunks = [
+        _fit_chunk(data, windows[lo : lo + chunk], ybar, denom) for lo in range(0, len(windows), chunk)
+    ]
     return FittedConvLayer(
-        input_grid=grid, spec=spec, level_counts=data.level_counts, features=tuple(features)
+        input_grid=grid,
+        spec=spec,
+        level_counts=data.level_counts,
+        fallback=np.full(len(windows), float(data.response.mean())),
+        **{name: np.concatenate([c[name] for c in chunks]) for name in chunks[0]},
     )
-
-
-def _lookup(feature: WindowFeature, keys: np.ndarray) -> np.ndarray:
-    pos = np.searchsorted(feature.cell_keys, keys)
-    pos_clipped = np.minimum(pos, len(feature.cell_keys) - 1)
-    hit = feature.cell_keys[pos_clipped] == keys
-    return np.where(hit, feature.cell_means[pos_clipped], feature.fallback_mean)
 
 
 def transform(layer: FittedConvLayer, data: DiscreteDataset) -> RealDataset:
@@ -232,9 +256,10 @@ def transform(layer: FittedConvLayer, data: DiscreteDataset) -> RealDataset:
     if (data.level_counts > layer.level_counts).any():
         raise DataError("data has more levels per column than the layer was fit on")
     cols = np.empty((data.n, layer.n_windows), dtype=np.float64)
-    for j, feature in enumerate(layer.features):
-        keys = encode_cells(data.features, feature.selected_subset, layer.level_counts)
-        cols[:, j] = _lookup(feature, keys)
+    for j, f in enumerate(layer.features):
+        keys = encode_cells(data.features, f.selected_subset, layer.level_counts)
+        pos = np.minimum(np.searchsorted(f.cell_keys, keys), len(f.cell_keys) - 1)
+        cols[:, j] = np.where(f.cell_keys[pos] == keys, f.cell_means[pos], f.fallback_mean)
     return RealDataset(cols, data.response)
 
 

@@ -16,13 +16,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .convlayer import ConvStack, FittedConvLayer, WindowFeature
+from .convlayer import LAYER_ARRAYS, ConvStack, FittedConvLayer
 from .core import DiscreteDataset, GridShape, RealDataset, WindowSpec
 from .discretize import Discretizer
 from .errors import (
     BundleFormatError,
     BundleIntegrityError,
     BundleVersionError,
+    ConfigError,
     DataError,
 )
 from .nn import MlpArchitecture, TrainingHyper
@@ -31,6 +32,7 @@ from .pgm import read_pgm
 FORMAT_VERSION = 1
 _MAGIC = b"INTCONVB"
 _KIND_TEXT, _KIND_F64, _KIND_I64 = 0, 1, 2
+AUGMENT_NOISE_SD = 0.05  # default sd of the pixel noise on augmented copies
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +174,7 @@ def split_images(images: ImageSet, test_per_class: int, seed: int) -> tuple[Imag
 
 
 def augment_images(
-    images: ImageSet, target_per_class: int, noise_sd: float = 0.05, seed: int = 0
+    images: ImageSet, target_per_class: int, noise_sd: float = AUGMENT_NOISE_SD, seed: int = 0
 ) -> ImageSet:
     """Top every class up to `target_per_class` with noisy copies of originals.
 
@@ -301,9 +303,7 @@ class _Writer:
             kind, data = _KIND_F64, arr.astype("<f8").tobytes(order="C")
         else:
             kind, data = _KIND_I64, arr.astype("<i8").tobytes(order="C")
-        head = struct.pack("<B", arr.ndim) + b"".join(
-            struct.pack("<Q", d) for d in arr.shape
-        )
+        head = struct.pack(f"<B{arr.ndim}Q", arr.ndim, *arr.shape)
         self.sections.append((name, kind, head + data))
 
     def dump(self, path: Path) -> None:
@@ -366,10 +366,6 @@ def _read_sections(path: Path) -> dict[str, tuple[int, bytes]]:
     return sections
 
 
-def _manifest_lines(pairs: dict[str, str]) -> str:
-    return "\n".join(f"{k}={v}" for k, v in pairs.items()) + "\n"
-
-
 def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
     w = _Writer()
     man: dict[str, str] = {
@@ -402,39 +398,8 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
         man[f"layer{k}_start"] = str(layer.spec.start)
         man[f"layer{k}_in_rows"] = str(layer.input_grid.rows)
         man[f"layer{k}_in_cols"] = str(layer.input_grid.cols)
-        w.array(f"layer{k}/level_counts", layer.level_counts)
-        w.array(
-            f"layer{k}/subset_len",
-            np.array([len(f.selected_subset) for f in layer.features], dtype=np.int64),
-        )
-        w.array(
-            f"layer{k}/subset_flat",
-            np.array(
-                [j for f in layer.features for j in f.selected_subset], dtype=np.int64
-            ),
-        )
-        w.array(
-            f"layer{k}/ncells",
-            np.array([len(f.cell_keys) for f in layer.features], dtype=np.int64),
-        )
-        w.array(
-            f"layer{k}/cell_keys", np.concatenate([f.cell_keys for f in layer.features])
-        )
-        w.array(
-            f"layer{k}/cell_means", np.concatenate([f.cell_means for f in layer.features])
-        )
-        w.array(
-            f"layer{k}/fallback",
-            np.array([f.fallback_mean for f in layer.features], dtype=np.float64),
-        )
-        w.array(
-            f"layer{k}/iscore",
-            np.array([f.iscore for f in layer.features], dtype=np.float64),
-        )
-        w.array(
-            f"layer{k}/auc",
-            np.array([f.train_auc for f in layer.features], dtype=np.float64),
-        )
+        for name in LAYER_ARRAYS:
+            w.array(f"layer{k}/{name}", getattr(layer, name))
     rediscs = bundle.stack.rediscretizers if bundle.stack is not None else ()
     for k, disc in enumerate(rediscs):
         man[f"redisc{k}_method"] = disc.method
@@ -442,7 +407,7 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
         w.array(f"redisc{k}/thresholds", disc.thresholds)
     for i, weight in enumerate(bundle.weights):
         w.array(f"clf/w{i}", weight)
-    w.text("manifest", _manifest_lines(man))
+    w.text("manifest", "".join(f"{k}={v}\n" for k, v in man.items()))
     w.dump(Path(path))
 
 
@@ -453,6 +418,30 @@ def _get_array(sections: dict[str, tuple[int, bytes]], name: str) -> np.ndarray:
     if kind not in (_KIND_F64, _KIND_I64):
         raise BundleFormatError(f"section {name} is not an array")
     return _decode_array(name, kind, payload)
+
+
+def _check_layer(layer: FittedConvLayer, where: str) -> None:
+    """Refuse layer arrays that `transform` could not serve."""
+    for name in LAYER_ARRAYS:
+        arr = getattr(layer, name)
+        kind = "f" if name in ("cell_means", "fallback", "iscore", "auc") else "i"
+        if arr.ndim != 1 or arr.dtype.kind != kind:
+            raise BundleFormatError(f"{where}: array {name} is not 1-d of kind {kind!r}")
+    n, size, window_size = layer.n_windows, layer.input_grid.size, layer.spec.window**2
+    if {len(layer.ncells), len(layer.fallback), len(layer.iscore), len(layer.auc)} != {n}:
+        raise BundleFormatError(f"{where}: per-window arrays differ in length")
+    if ((layer.subset_len < 1) | (layer.subset_len > window_size)).any():
+        raise BundleFormatError(f"{where}: a subset length lies outside 1..{window_size}")
+    if layer.subset_len.sum() != len(layer.subset_flat):
+        raise BundleFormatError(f"{where}: subset lengths do not add up to the subset array")
+    if (layer.ncells < 1).any() or not layer.ncells.sum() == len(layer.cell_keys) == len(layer.cell_means):
+        raise BundleFormatError(f"{where}: cell counts do not add up to the cell arrays")
+    if n != layer.output_grid.size:
+        raise BundleFormatError(f"{where}: {n} windows where its geometry gives {layer.output_grid.size}")
+    if ((layer.subset_flat < 0) | (layer.subset_flat >= size)).any():
+        raise BundleFormatError(f"{where}: a subset index lies outside [0, {size})")
+    if len(layer.level_counts) != size:
+        raise BundleFormatError(f"{where}: {len(layer.level_counts)} level counts for {size} columns")
 
 
 def load_bundle(path: str | Path) -> ModelBundle:
@@ -504,44 +493,9 @@ def load_bundle(path: str | Path) -> ModelBundle:
                 start=int(man[f"layer{k}_start"]),
             )
             in_grid = GridShape(int(man[f"layer{k}_in_rows"]), int(man[f"layer{k}_in_cols"]))
-            level_counts = _get_array(sections, f"layer{k}/level_counts")
-            subset_len = _get_array(sections, f"layer{k}/subset_len")
-            subset_flat = _get_array(sections, f"layer{k}/subset_flat")
-            ncells = _get_array(sections, f"layer{k}/ncells")
-            cell_keys = _get_array(sections, f"layer{k}/cell_keys")
-            cell_means = _get_array(sections, f"layer{k}/cell_means")
-            fallback = _get_array(sections, f"layer{k}/fallback")
-            iscore_arr = _get_array(sections, f"layer{k}/iscore")
-            auc_arr = _get_array(sections, f"layer{k}/auc")
-            features: list[WindowFeature] = []
-            s_off = c_off = 0
-            for b in range(len(subset_len)):
-                s_n, c_n = int(subset_len[b]), int(ncells[b])
-                features.append(
-                    WindowFeature(
-                        window_index=b + 1,
-                        selected_subset=tuple(
-                            int(j) for j in subset_flat[s_off : s_off + s_n]
-                        ),
-                        cell_keys=cell_keys[c_off : c_off + c_n],
-                        cell_means=cell_means[c_off : c_off + c_n],
-                        fallback_mean=float(fallback[b]),
-                        iscore=float(iscore_arr[b]),
-                        train_auc=float(auc_arr[b]),
-                    )
-                )
-                s_off += s_n
-                c_off += c_n
-            if s_off != len(subset_flat) or c_off != len(cell_keys):
-                raise BundleFormatError(f"{path}: layer {k} arrays are inconsistent")
-            layers.append(
-                FittedConvLayer(
-                    input_grid=in_grid,
-                    spec=spec,
-                    level_counts=level_counts,
-                    features=tuple(features),
-                )
-            )
+            arrays = {name: _get_array(sections, f"layer{k}/{name}") for name in LAYER_ARRAYS}
+            layers.append(FittedConvLayer(input_grid=in_grid, spec=spec, **arrays))
+            _check_layer(layers[-1], f"{path}: layer {k}")
         rediscs: list[Discretizer] = []
         for k in range(max(0, n_layers - 1)):
             param = man[f"redisc{k}_param"]
@@ -562,7 +516,7 @@ def load_bundle(path: str | Path) -> ModelBundle:
         )
     except KeyError as exc:
         raise BundleFormatError(f"{path}: manifest is missing {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, ConfigError) as exc:
         raise BundleFormatError(f"{path}: malformed manifest value: {exc}") from exc
     return ModelBundle(
         input_grid=grid,

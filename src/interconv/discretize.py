@@ -46,31 +46,38 @@ class Discretizer:
         return self.thresholds.shape[0]
 
 
-def fit_discretizer(
-    data: RealDataset,
-    method: str = "median",
-    *,
-    threshold: float | None = None,
-    quantile: float | None = None,
-) -> Discretizer:
-    """Learn per-column cut points on `data`.
+def parse_discretizer_spec(text: str) -> tuple[str, float | None]:
+    """Parse 'median', 'global:<cut>', or 'quantile:<q>'."""
+    method, _, arg = text.strip().partition(":")
+    if method == "median":
+        if arg:
+            raise ConfigError("median discretizer takes no parameter")
+        return "median", None
+    if method in ("global", "quantile"):
+        if not arg:
+            raise ConfigError(f"{method} discretizer needs a parameter, e.g. {method}:0.5")
+        try:
+            value = float(arg)
+        except ValueError:
+            raise ConfigError(f"bad {method} parameter {arg!r}") from None
+        if method == "quantile" and not (0.0 < value < 1.0):
+            raise ConfigError(f"quantile must lie in (0, 1), got {value}")
+        return method, value
+    raise ConfigError(f"unknown discretizer {text!r}")
 
-    `threshold` is required for the global rule; `quantile` (in the open
-    interval (0, 1)) for the quantile rule.
-    """
+
+def fit_discretizer(data: RealDataset, spec: str = "median") -> Discretizer:
+    """Learn per-column cut points on `data` by the rule `spec` names (see
+    `parse_discretizer_spec`); the quantile q lies in the open interval (0, 1)."""
+    method, param = parse_discretizer_spec(spec)
     x = data.features
     if method == "global":
-        if threshold is None:
-            raise ConfigError("global discretizer needs an explicit threshold")
-        cuts = np.full(x.shape[1], float(threshold))
-        return Discretizer("global", cuts, float(threshold))
-    if method == "median":
-        return Discretizer("median", np.median(x, axis=0))
-    if method == "quantile":
-        if quantile is None or not (0.0 < float(quantile) < 1.0):
-            raise ConfigError(f"quantile must lie in (0, 1), got {quantile!r}")
-        return Discretizer("quantile", np.quantile(x, float(quantile), axis=0), float(quantile))
-    raise ConfigError(f"unknown discretizer method {method!r}")
+        cuts = np.full(x.shape[1], param)
+    elif method == "quantile":
+        cuts = np.quantile(x, param, axis=0)
+    else:
+        cuts = np.median(x, axis=0)
+    return Discretizer(method, cuts, param)
 
 
 def apply_discretizer(disc: Discretizer, data: RealDataset) -> DiscreteDataset:

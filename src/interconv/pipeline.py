@@ -16,7 +16,7 @@ import numpy as np
 from .convlayer import ConvStack, _join_outputs, stack_layers, stack_outputs, transform_stack
 from .core import DiscreteDataset, GridShape, RealDataset, WindowSpec, output_grid
 from .dataio import ModelBundle, save_bundle
-from .discretize import Discretizer, apply_discretizer, fit_discretizer
+from .discretize import apply_discretizer, fit_discretizer, parse_discretizer_spec
 from .errors import ConfigError, DataError
 from .metrics import RocCurve, roc_curve, sensitivity, specificity
 from .nn import (
@@ -32,33 +32,8 @@ from .nn import (
 FEATURE_MODES = ("last", "concat")
 
 
-def parse_discretizer_spec(text: str) -> tuple[str, float | None]:
-    """Parse 'median', 'global:<cut>', or 'quantile:<q>'."""
-    method, _, arg = text.strip().partition(":")
-    if method == "median":
-        if arg:
-            raise ConfigError("median discretizer takes no parameter")
-        return "median", None
-    if method in ("global", "quantile"):
-        if not arg:
-            raise ConfigError(f"{method} discretizer needs a parameter, e.g. {method}:0.5")
-        try:
-            value = float(arg)
-        except ValueError:
-            raise ConfigError(f"bad {method} parameter {arg!r}") from None
-        if method == "quantile" and not (0.0 < value < 1.0):
-            raise ConfigError(f"quantile must lie in (0, 1), got {value}")
-        return method, value
-    raise ConfigError(f"unknown discretizer {text!r}")
-
-
-def fit_discretizer_spec(data: RealDataset, text: str) -> Discretizer:
-    method, param = parse_discretizer_spec(text)
-    if method == "global":
-        return fit_discretizer(data, "global", threshold=param)
-    if method == "quantile":
-        return fit_discretizer(data, "quantile", quantile=param)
-    return fit_discretizer(data, "median")
+# the old name of the spec-taking fit, kept for callers that import it
+fit_discretizer_spec = fit_discretizer
 
 
 @dataclass(frozen=True)
@@ -137,7 +112,7 @@ def fit_pipeline(
     if config.layers:
         grid = resolve_grid(config, data.width)
         chain = geometry_chain(grid, config.layers)
-        disc = fit_discretizer_spec(data, config.discretizer)
+        disc = fit_discretizer(data, config.discretizer)
         ddata = apply_discretizer(disc, data)
         stack, outputs = stack_layers(
             ddata, grid, list(config.layers), rediscretize=config.rediscretizer

@@ -6,8 +6,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from interconv import PipelineConfig, read_pgm, write_pgm
-from interconv.cli import build_parser, build_pipeline_config, main, resolve_config
+from interconv import ParityModelSpec, PipelineConfig, load_bundle, read_pgm, save_bundle, write_pgm
+from interconv.cli import build_parser, build_pipeline_config, build_synth_spec, main, resolve_config
 
 
 def run(capsys, *argv):
@@ -178,6 +178,8 @@ def test_cli_defaults_are_the_library_defaults():
     library = PipelineConfig()
     for field in dataclasses.fields(PipelineConfig):
         assert getattr(config, field.name) == getattr(library, field.name), field.name
+    synth_args = build_parser().parse_args(["synth", "--out", "x"])
+    assert build_synth_spec(resolve_config(synth_args)) == ParityModelSpec()
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
@@ -186,6 +188,29 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "bogus" in err
+
+
+@pytest.mark.parametrize(
+    "setting",
+    ["hidden=abc", "test_per_class=two", "augment_per_class=1.5", "noise_sd=high"],
+)
+def test_bad_numeric_value_exits_2(tmp_path, capsys, setting):
+    manifest = tmp_path / "manifest.csv"
+    for i in range(4):
+        write_pgm(tmp_path / f"im{i}.pgm", np.full((4, 4), i / 4))
+    manifest.write_text("path,label\n" + "".join(f"im{i}.pgm,{i % 2}\n" for i in range(4)))
+    code, _, err = run(
+        capsys,
+        "fit",
+        "--out", str(tmp_path / "x"),
+        "--set", f"images={manifest}",
+        "--set", "test_per_class=1",
+        "--set", "augment_per_class=3",
+        "--set", setting,
+    )
+    assert code == 2
+    assert setting.split("=")[0] in err
+    assert "Traceback" not in err
 
 
 def test_missing_train_file_exits_3(tmp_path, capsys):
@@ -225,6 +250,24 @@ def test_corrupt_bundle_exits_3(tmp_path, synth_dir, fit_dir, capsys):
     )
     assert code == 3
     assert "checksum" in err or "corrupt" in err
+
+
+def test_unservable_bundle_exits_3(tmp_path, synth_dir, fit_dir, capsys):
+    bundle = load_bundle(fit_dir / "model.bundle")
+    layer = bundle.stack.layers[0]
+    bad_layer = dataclasses.replace(layer, subset_flat=layer.subset_flat + layer.input_grid.size)
+    bad = tmp_path / "bad.bundle"
+    save_bundle(dataclasses.replace(bundle, stack=dataclasses.replace(bundle.stack, layers=(bad_layer,))), bad)
+    code, _, err = run(
+        capsys,
+        "predict",
+        "--bundle", str(bad),
+        "--data", str(synth_dir / "test.csv"),
+        "--out", str(tmp_path / "p"),
+    )
+    assert code == 3
+    assert "subset index" in err
+    assert not (tmp_path / "p").exists()
 
 
 def test_worker_override_does_not_change_results(tmp_path, synth_dir, capsys):

@@ -1,5 +1,8 @@
 """Image corpora, dataset CSVs, and byte-exact model bundle persistence."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -27,6 +30,7 @@ from interconv import (
     write_dataset_csv,
     write_pgm,
 )
+from interconv.convlayer import LAYER_ARRAYS
 
 
 def make_corpus(tmp_path, n0=6, n1=5, side=8, seed=0):
@@ -207,13 +211,14 @@ def test_dataset_csv_errors(tmp_path, content):
 # model bundles
 
 
-def fitted_bundle(layers=True):
+def fitted_bundle(layers=True, rediscretizer="median"):
     train, _ = generate(ParityModelSpec(n_train=120, n_test=0, seed=4))
     data = RealDataset(train.features.astype(np.float64), train.response)
     if layers:
         config = PipelineConfig(
             discretizer="global:0.5",
             layers=(WindowSpec(window=2, stride=1), WindowSpec(window=2, stride=1)),
+            rediscretizer=rediscretizer,
             features_mode="concat",
             hidden=5,
             hyper=TrainingHyper(epochs=2),
@@ -255,16 +260,109 @@ def test_bundle_stack_state_round_trips(tmp_path):
     assert len(loaded.stack.layers) == 2
     for la, lb in zip(bundle.stack.layers, loaded.stack.layers):
         assert la.spec == lb.spec
-        assert np.array_equal(la.level_counts, lb.level_counts)
-        for fa, fb in zip(la.features, lb.features):
-            assert fa.selected_subset == fb.selected_subset
-            assert np.array_equal(fa.cell_keys, fb.cell_keys)
-            assert np.array_equal(fa.cell_means, fb.cell_means)
-            assert fa.fallback_mean == fb.fallback_mean
-            assert fa.iscore == fb.iscore
+        assert la.input_grid == lb.input_grid
+        for name in LAYER_ARRAYS:
+            a, b = getattr(la, name), getattr(lb, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
     for da, db in zip(bundle.stack.rediscretizers, loaded.stack.rediscretizers):
         assert da.method == db.method
+        assert da.param == db.param
         assert np.array_equal(da.thresholds, db.thresholds)
+
+
+@pytest.mark.parametrize("spec, method, param", [("quantile:0.3", "quantile", 0.3), ("global:0.5", "global", 0.5)])
+def test_parameterised_rediscretizer_fits_and_round_trips(tmp_path, spec, method, param):
+    bundle, data = fitted_bundle(rediscretizer=spec)
+    (redisc,) = bundle.stack.rediscretizers
+    assert (redisc.method, redisc.param) == (method, param)
+    path = tmp_path / "model.bundle"
+    save_bundle(bundle, path)
+    loaded = load_bundle(path)
+    (back,) = loaded.stack.rediscretizers
+    assert (back.method, back.param) == (method, param)
+    assert back.thresholds.tobytes() == redisc.thresholds.tobytes()
+    a = predict_bundle(bundle, data.features)
+    assert a.tobytes() == predict_bundle(loaded, data.features).tobytes()
+
+
+def with_first_layer(bundle, **arrays):
+    """`bundle` with some arrays of its first window layer replaced."""
+    first = dataclasses.replace(bundle.stack.layers[0], **arrays)
+    stack = dataclasses.replace(bundle.stack, layers=(first, *bundle.stack.layers[1:]))
+    return dataclasses.replace(bundle, stack=stack)
+
+
+def first_replaced(arr, value):
+    return np.concatenate([[value], arr[1:]]).astype(arr.dtype)
+
+
+# each case leaves every checksum valid but the layer unservable: the
+# replacement arrays of layer 0, and the complaint expected at load
+BAD_LAYERS = {
+    "subset index at the grid size": (
+        lambda la: {"subset_flat": first_replaced(la.subset_flat, la.input_grid.size)},
+        "subset index lies outside [0, 36)",
+    ),
+    "negative subset index": (
+        lambda la: {"subset_flat": first_replaced(la.subset_flat, -1)},
+        "subset index lies outside [0, 36)",
+    ),
+    "empty subset": (lambda la: {"subset_len": first_replaced(la.subset_len, 0)}, "outside 1..4"),
+    "subset longer than the window": (
+        lambda la: {"subset_len": first_replaced(la.subset_len, 5)},
+        "outside 1..4",
+    ),
+    "subset lengths disagree with the subsets": (
+        lambda la: {"subset_flat": la.subset_flat[:-1]},
+        "subset lengths do not add up",
+    ),
+    "cell counts disagree with the cells": (
+        lambda la: {"cell_means": la.cell_means[:-1]},
+        "cell counts do not add up",
+    ),
+    "window without cells": (
+        lambda la: {"ncells": np.concatenate([[0, la.ncells[0] + la.ncells[1]], la.ncells[2:]])},
+        "cell counts do not add up",
+    ),
+    "one window too few": (
+        lambda la: {
+            name: getattr(la, name)[:-1] for name in ("subset_len", "ncells", "fallback", "iscore", "auc")
+        }
+        | {
+            "subset_flat": la.subset_flat[: -la.subset_len[-1]],
+            "cell_keys": la.cell_keys[: -la.ncells[-1]],
+            "cell_means": la.cell_means[: -la.ncells[-1]],
+        },
+        "24 windows where its geometry gives 25",
+    ),
+    "per-window arrays differ in length": (
+        lambda la: {"iscore": la.iscore[:-1]},
+        "per-window arrays differ in length",
+    ),
+    "level counts of the wrong grid": (
+        lambda la: {"level_counts": la.level_counts[:-1]},
+        "35 level counts for 36 columns",
+    ),
+    "float subset indices": (
+        lambda la: {"subset_flat": la.subset_flat.astype(np.float64)},
+        "subset_flat is not 1-d",
+    ),
+    "2-d cell keys": (
+        lambda la: {"cell_keys": la.cell_keys[:, np.newaxis]},
+        "cell_keys is not 1-d",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LAYERS))
+def test_unservable_layer_is_refused_at_load(tmp_path, case):
+    bundle, _ = fitted_bundle()
+    arrays, complaint = BAD_LAYERS[case]
+    bad = with_first_layer(bundle, **arrays(bundle.stack.layers[0]))
+    path = tmp_path / "model.bundle"
+    save_bundle(bad, path)
+    with pytest.raises(BundleFormatError, match="layer 0: .*" + re.escape(complaint)):
+        load_bundle(path)
 
 
 def test_corrupted_payload_is_detected(tmp_path):

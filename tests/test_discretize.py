@@ -16,7 +16,7 @@ from interconv import (
 
 def test_global_rule_is_strictly_greater():
     data = RealDataset(np.array([[0.4], [0.5], [0.6]]), np.array([0, 0, 1]))
-    disc = fit_discretizer(data, "global", threshold=0.5)
+    disc = fit_discretizer(data, "global:0.5")
     out = apply_discretizer(disc, data)
     # the threshold value itself maps to level 0
     assert out.features.ravel().tolist() == [0, 0, 1]
@@ -44,7 +44,7 @@ def test_median_of_binary_column_can_erase_it():
 def test_quantile_rule():
     x = np.linspace(0.0, 1.0, 11)[:, np.newaxis]
     data = RealDataset(x, np.array([0, 1] * 5 + [0]))
-    disc = fit_discretizer(data, "quantile", quantile=0.8)
+    disc = fit_discretizer(data, "quantile:0.8")
     assert disc.thresholds[0] == pytest.approx(0.8)
     out = apply_discretizer(disc, data)
     assert out.features.sum() == 2  # 0.9 and 1.0
@@ -70,7 +70,7 @@ def test_bad_parameters_rejected():
     with pytest.raises(ConfigError):
         fit_discretizer(data, "global")
     with pytest.raises(ConfigError):
-        fit_discretizer(data, "quantile", quantile=1.5)
+        fit_discretizer(data, "quantile:1.5")
     with pytest.raises(ConfigError):
         fit_discretizer(data, "nearest")
     with pytest.raises(ConfigError):
