@@ -62,14 +62,13 @@ from .nn import (
     rmsprop_step,
     train,
 )
-from .pgm import read_pgm, write_matrix_text, write_pgm
+from .pgm import read_pgm, write_pgm
 from .pipeline import (
     EvalSummary,
     PipelineConfig,
     evaluate_bundle,
     fit_pipeline,
     predict_bundle,
-    preset_architecture,
     preset_config,
 )
 from .synth import GENERATOR_ID, ParityModelSpec, generate, theoretical_rate

@@ -22,7 +22,7 @@ from . import dataio, synth
 from .core import GridShape, RealDataset, WindowSpec
 from .errors import ConfigError, DataError, InterconvError, NumericError
 from .metrics import write_roc_csv
-from .nn import TrainingHyper
+from .nn import TrainingHyper, param_count
 from .pgm import write_pgm
 from .pipeline import (
     PipelineConfig,
@@ -30,6 +30,7 @@ from .pipeline import (
     fit_pipeline,
     format_report,
     geometry_chain,
+    geometry_line,
     layer_maps,
     predict_bundle,
     bundle_features,
@@ -246,12 +247,17 @@ def build_synth_spec(raw: dict[str, str]) -> synth.ParityModelSpec:
     )
 
 
+def _out_dir(args: argparse.Namespace) -> Path:
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
     raw = resolve_config(args)
     spec = build_synth_spec(raw)
     train_data, test_data = synth.generate(spec)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     dataio.write_dataset_csv(out / "train.csv", train_data)
     if test_data is not None:
         dataio.write_dataset_csv(out / "test.csv", test_data)
@@ -273,6 +279,9 @@ def _load_fit_data(raw: dict[str, str], seed: int):
     if raw["train"] and raw["images"]:
         raise ConfigError("set either train= (CSV) or images= (manifest), not both")
     if raw["images"]:
+        for key in ("test_per_class", "augment_per_class"):
+            if _parse_int(raw, key) < 0:
+                raise ConfigError(f"{key} must be >= 0, got {raw[key]}")
         images = dataio.load_images(raw["images"])
         heldout = None
         test_per_class = _parse_int(raw, "test_per_class")
@@ -289,10 +298,11 @@ def _load_fit_data(raw: dict[str, str], seed: int):
     raise ConfigError("fit needs train= (dataset CSV) or images= (manifest)")
 
 
-def cmd_fit(args: argparse.Namespace, *, require_flat: bool = False) -> int:
+def cmd_fit(args: argparse.Namespace) -> int:
+    """The fit and train subcommands; train refuses window layers."""
     raw = resolve_config(args)
     config = build_pipeline_config(raw)
-    if require_flat and config.layers:
+    if args.command == "train" and config.layers:
         raise ConfigError("the train subcommand trains on flat features; use fit for window layers")
     data, heldout = _load_fit_data(raw, config.hyper.seed)
     val_data = dataio.read_dataset_csv(raw["val"]) if raw["val"] else None
@@ -300,8 +310,7 @@ def cmd_fit(args: argparse.Namespace, *, require_flat: bool = False) -> int:
     if config.layers:
         grid = resolve_grid(config, data.width)
         geometry_chain(grid, config.layers)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     write_resolved(out, raw)
     bundle, report = fit_pipeline(config, data, val_data)
     paths = write_fit_outputs(out, bundle, report)
@@ -312,38 +321,27 @@ def cmd_fit(args: argparse.Namespace, *, require_flat: bool = False) -> int:
             f"held-out ({summary.n} rows): auc={summary.auc:.4f} "
             f"sensitivity={summary.sensitivity:.4f} specificity={summary.specificity:.4f}"
         )
-    if report.geometry:
-        dims = " -> ".join(f"{g.rows}x{g.cols}" for g in report.geometry)
-        print(f"geometry: {dims}")
-    print(f"parameters: {report.parameters}")
+    if bundle.stack is not None:
+        print(geometry_line(bundle.stack))
+    print(f"parameters: {param_count(bundle.arch)}")
     if report.train_result.train_losses:
         print(f"final train loss: {report.train_result.train_losses[-1]:.6f}")
     print(f"wrote {paths['bundle']}")
     return 0
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    return cmd_fit(args, require_flat=True)
-
-
-def cmd_transform(args: argparse.Namespace) -> int:
-    bundle = dataio.load_bundle(args.bundle)
-    data, _ = load_table_or_images(args.data)
+def cmd_transform(args, bundle, data, sources) -> int:
     feats = bundle_features(bundle, data.features)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     engineered = RealDataset(feats.features, data.response)
     dataio.write_dataset_csv(out / "features.csv", engineered)
     print(f"wrote {out / 'features.csv'} ({engineered.n} rows x {engineered.width} features)")
     return 0
 
 
-def cmd_predict(args: argparse.Namespace) -> int:
-    bundle = dataio.load_bundle(args.bundle)
-    data, sources = load_table_or_images(args.data)
+def cmd_predict(args, bundle, data, sources) -> int:
     scores = predict_bundle(bundle, data.features)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     with open(out / "predictions.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["row", "source", "score"])
@@ -354,12 +352,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    bundle = dataio.load_bundle(args.bundle)
-    data, _ = load_table_or_images(args.data)
+def cmd_eval(args, bundle, data, sources) -> int:
     summary, curve = evaluate_bundle(bundle, data, threshold=args.threshold)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     write_roc_csv(out / "roc.csv", curve)
     text = (
         f"n = {summary.n}\nauc = {summary.auc!r}\n"
@@ -374,9 +369,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_export_maps(args: argparse.Namespace) -> int:
-    bundle = dataio.load_bundle(args.bundle)
-    data, _ = load_table_or_images(args.data)
+def cmd_export_maps(args, bundle, data, sources) -> int:
     if args.rows:
         try:
             rows = [int(r) for r in args.rows.split(",")]
@@ -390,8 +383,7 @@ def cmd_export_maps(args: argparse.Namespace) -> int:
     sel = np.array([r - 1 for r in rows])
     maps = layer_maps(bundle, data.features[sel])
     scores = predict_bundle(bundle, data.features[sel])
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     count = 0
     for li, layer_map in enumerate(maps, start=1):
         for i, r in enumerate(rows):
@@ -402,12 +394,10 @@ def cmd_export_maps(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_report(args: argparse.Namespace) -> int:
-    bundle = dataio.load_bundle(args.bundle)
+def cmd_report(args, bundle, data, sources) -> int:
     text = format_report(bundle)
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        out = _out_dir(args)
         (out / "report.txt").write_text(text, encoding="utf-8")
         print(f"wrote {out / 'report.txt'}")
     else:
@@ -425,65 +415,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *, config: bool = True) -> None:
-        if config:
-            p.add_argument("--config", help="key=value configuration file")
-            p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                           help="override one config key (repeatable)")
-            p.add_argument("--seed", type=int, help="override the seed key")
-            p.add_argument("--workers", type=int, help="override the workers key (no effect)")
+    for name, func, text in (
+        ("synth", cmd_synth, "generate the synthetic parity benchmark"),
+        ("fit", cmd_fit, "fit the full pipeline and save a model bundle"),
+        ("train", cmd_fit, "train a classifier on flat features (no window layers)"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config", help="key=value configuration file")
+        p.add_argument("--set", action="append", metavar="KEY=VALUE",
+                       help="override one config key (repeatable)")
+        p.add_argument("--seed", type=int, help="override the seed key")
+        p.add_argument("--workers", type=int, help="override the workers key (no effect)")
+        p.add_argument("--out", required=True, help="output directory" if name == "synth" else None)
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("synth", help="generate the synthetic parity benchmark")
-    common(p)
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("fit", help="fit the full pipeline and save a model bundle")
-    common(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser("train", help="train a classifier on flat features (no window layers)")
-    common(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("transform", help="apply a bundle's window stack to data")
-    common(p, config=False)
-    p.add_argument("--bundle", required=True)
-    p.add_argument("--data", required=True, help="dataset CSV or image manifest")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_transform)
-
-    p = sub.add_parser("predict", help="score rows with a fitted bundle")
-    common(p, config=False)
-    p.add_argument("--bundle", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_predict)
-
-    p = sub.add_parser("eval", help="ROC/AUC evaluation of a bundle on labeled data")
-    common(p, config=False)
-    p.add_argument("--bundle", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("export-maps", help="write per-layer feature maps as PGM images")
-    common(p, config=False)
-    p.add_argument("--bundle", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--rows", help="comma-separated 1-based rows (default: first 10)")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_export_maps)
-
-    p = sub.add_parser("report", help="print the fit report stored in a bundle")
-    common(p, config=False)
-    p.add_argument("--bundle", required=True)
-    p.add_argument("--out", help="optional output directory")
-    p.set_defaults(func=cmd_report)
-
+    for name, func, text in (
+        ("transform", cmd_transform, "apply a bundle's window stack to data"),
+        ("predict", cmd_predict, "score rows with a fitted bundle"),
+        ("eval", cmd_eval, "ROC/AUC evaluation of a bundle on labeled data"),
+        ("export-maps", cmd_export_maps, "write per-layer feature maps as PGM images"),
+        ("report", cmd_report, "print the fit report stored in a bundle"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--bundle", required=True)
+        if name == "report":
+            p.add_argument("--out", help="optional output directory")
+        else:
+            p.add_argument("--data", required=True,
+                           help="dataset CSV or image manifest" if name == "transform" else None)
+            p.add_argument("--out", required=True)
+        p.set_defaults(func=func)
+    sub.choices["eval"].add_argument("--threshold", type=float, default=0.5)
+    sub.choices["export-maps"].add_argument("--rows", help="comma-separated 1-based rows (default: first 10)")
     return parser
 
 
@@ -491,16 +454,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        if "bundle" not in args:
+            return args.func(args)
+        # a bundle subcommand gets its loaded bundle, and the rows of --data with any image sources
+        bundle = dataio.load_bundle(args.bundle)
+        data, sources = load_table_or_images(args.data) if "data" in args else (None, None)
+        return args.func(args, bundle, data, sources)
     except (InterconvError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ConfigError) else 4 if isinstance(exc, NumericError) else 3
 
 
 if __name__ == "__main__":

@@ -287,7 +287,6 @@ class ModelBundle:
     arch: MlpArchitecture
     weights: tuple[np.ndarray, ...]
     hyper: TrainingHyper
-    format_version: int = FORMAT_VERSION
 
 
 class _Writer:
@@ -420,6 +419,13 @@ def _get_array(sections: dict[str, tuple[int, bytes]], name: str) -> np.ndarray:
     return _decode_array(name, kind, payload)
 
 
+def _get_discretizer(
+    sections: dict[str, tuple[int, bytes]], man: dict[str, str], method: str, param: str, thresholds: str
+) -> Discretizer:
+    value = man[param]
+    return Discretizer(man[method], _get_array(sections, thresholds), None if value == "none" else float(value))
+
+
 def _check_layer(layer: FittedConvLayer, where: str) -> None:
     """Refuse layer arrays that `transform` could not serve."""
     for name in LAYER_ARRAYS:
@@ -442,6 +448,22 @@ def _check_layer(layer: FittedConvLayer, where: str) -> None:
         raise BundleFormatError(f"{where}: a subset index lies outside [0, {size})")
     if len(layer.level_counts) != size:
         raise BundleFormatError(f"{where}: {len(layer.level_counts)} level counts for {size} columns")
+    if (layer.level_counts < 2).any():
+        raise BundleFormatError(f"{where}: a level count is below 2")
+    # cells per window, refused above 2**62 as fit_layer refuses them, so int64 bounds cannot overflow
+    cells = np.multiply.reduceat(
+        layer.level_counts[layer.subset_flat].astype(object), np.cumsum(layer.subset_len) - layer.subset_len
+    )
+    if (cells > 2**62).any():
+        raise BundleFormatError(f"{where}: a subset has more than 2**62 cells")
+    keys, window = layer.cell_keys, np.repeat(np.arange(n), layer.ncells)
+    if ((keys < 0) | (keys >= cells.astype(np.int64)[window])).any():
+        raise BundleFormatError(f"{where}: a cell key lies outside its subset's cell range")
+    if not ((np.diff(keys) > 0) | (np.diff(window) > 0)).all():
+        raise BundleFormatError(f"{where}: cell keys are not strictly ascending within a window")
+    means = np.concatenate([layer.cell_means, layer.fallback])
+    if not ((means >= 0.0) & (means <= 1.0)).all():
+        raise BundleFormatError(f"{where}: a cell mean or fallback is not a finite value in [0, 1]")
 
 
 def load_bundle(path: str | Path) -> ModelBundle:
@@ -478,12 +500,7 @@ def load_bundle(path: str | Path) -> ModelBundle:
             grid = GridShape(int(man["input_rows"]), int(man["input_cols"]))
         disc = None
         if "discretizer" in man:
-            param = man["discretizer_param"]
-            disc = Discretizer(
-                method=man["discretizer"],
-                thresholds=_get_array(sections, "disc/thresholds"),
-                param=None if param == "none" else float(param),
-            )
+            disc = _get_discretizer(sections, man, "discretizer", "discretizer_param", "disc/thresholds")
         n_layers = int(man["n_layers"])
         layers: list[FittedConvLayer] = []
         for k in range(n_layers):
@@ -496,16 +513,10 @@ def load_bundle(path: str | Path) -> ModelBundle:
             arrays = {name: _get_array(sections, f"layer{k}/{name}") for name in LAYER_ARRAYS}
             layers.append(FittedConvLayer(input_grid=in_grid, spec=spec, **arrays))
             _check_layer(layers[-1], f"{path}: layer {k}")
-        rediscs: list[Discretizer] = []
-        for k in range(max(0, n_layers - 1)):
-            param = man[f"redisc{k}_param"]
-            rediscs.append(
-                Discretizer(
-                    method=man[f"redisc{k}_method"],
-                    thresholds=_get_array(sections, f"redisc{k}/thresholds"),
-                    param=None if param == "none" else float(param),
-                )
-            )
+        rediscs = [
+            _get_discretizer(sections, man, f"redisc{k}_method", f"redisc{k}_param", f"redisc{k}/thresholds")
+            for k in range(max(0, n_layers - 1))
+        ]
         stack = (
             ConvStack(layers=tuple(layers), rediscretizers=tuple(rediscs))
             if n_layers
@@ -514,6 +525,19 @@ def load_bundle(path: str | Path) -> ModelBundle:
         weights = tuple(
             _get_array(sections, f"clf/w{i}") for i in range(int(man["n_weights"]))
         )
+        if [w.shape for w in weights] != arch.layer_shapes():
+            raise BundleFormatError(f"{path}: weight shapes differ from the architecture's {arch.layer_shapes()}")
+        features_mode = man.get("features_mode", "last")
+        if layers:
+            widths = [layer.n_windows for layer in layers]
+            width = sum(widths) if features_mode == "concat" else widths[-1]
+            if arch.input_width != width:
+                raise BundleFormatError(f"{path}: classifier input width {arch.input_width}, stack output {width}")
+            # the discretizer feeding layer k has one threshold per column of its input
+            columns = [layers[0].input_grid.size, *widths]
+            for k, stage in enumerate([disc, *rediscs]):
+                if stage is not None and stage.width != columns[k]:
+                    raise BundleFormatError(f"{path}: the discretizer before layer {k} has {stage.width} thresholds")
     except KeyError as exc:
         raise BundleFormatError(f"{path}: manifest is missing {exc}") from exc
     except (ValueError, ConfigError) as exc:
@@ -522,9 +546,8 @@ def load_bundle(path: str | Path) -> ModelBundle:
         input_grid=grid,
         discretizer=disc,
         stack=stack,
-        features_mode=man.get("features_mode", "last"),
+        features_mode=features_mode,
         arch=arch,
         weights=weights,
         hyper=hyper,
-        format_version=version,
     )

@@ -1,4 +1,4 @@
-"""8-bit grayscale PGM (P5 binary, P2 ASCII) and plain-text matrix files."""
+"""8-bit grayscale PGM files (P5 binary, P2 ASCII)."""
 
 from __future__ import annotations
 
@@ -79,12 +79,3 @@ def write_pgm(path: str | Path, values: np.ndarray) -> None:
     pixels = np.floor(arr * 255.0 + 0.5).astype(np.uint8)
     header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii")
     Path(path).write_bytes(header + pixels.tobytes())
-
-
-def write_matrix_text(path: str | Path, values: np.ndarray) -> None:
-    """Plain-text matrix: one row per line, values space-separated with full precision."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 2:
-        raise DataError(f"matrix export expects a 2-d matrix, got shape {arr.shape}")
-    lines = [" ".join(repr(float(v)) for v in row) for row in arr]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -89,18 +89,9 @@ def geometry_chain(grid: GridShape, layers: tuple[WindowSpec, ...]) -> list[Grid
     return chain
 
 
-def classifier_width(chain: list[GridShape], mode: str) -> int:
-    outputs = chain[1:]
-    if mode == "concat":
-        return sum(g.size for g in outputs)
-    return outputs[-1].size
-
-
 @dataclass(frozen=True, eq=False)
 class FitReport:
-    geometry: list[GridShape]
     train_result: TrainResult
-    parameters: int
 
 
 def fit_pipeline(
@@ -111,7 +102,7 @@ def fit_pipeline(
         raise DataError("validation data width does not match training data")
     if config.layers:
         grid = resolve_grid(config, data.width)
-        chain = geometry_chain(grid, config.layers)
+        geometry_chain(grid, config.layers)
         disc = fit_discretizer(data, config.discretizer)
         ddata = apply_discretizer(disc, data)
         stack, outputs = stack_layers(
@@ -124,7 +115,6 @@ def fit_pipeline(
             val_features = transform_stack(stack, val_d, mode=config.features_mode)
     else:
         grid = None
-        chain = []
         disc = None
         stack = None
         features = data
@@ -143,8 +133,7 @@ def fit_pipeline(
         weights=result.model.weights,
         hyper=config.hyper,
     )
-    report = FitReport(geometry=chain, train_result=result, parameters=param_count(arch))
-    return bundle, report
+    return bundle, FitReport(train_result=result)
 
 
 def _input_rows(bundle: ModelBundle, features: np.ndarray) -> RealDataset | DiscreteDataset:
@@ -239,17 +228,6 @@ def preset_config(name: str, grid: GridShape = GridShape(128, 128)) -> PipelineC
     )
 
 
-def preset_architecture(name: str, grid: GridShape = GridShape(128, 128)) -> MlpArchitecture:
-    """The classifier architecture a preset produces on `grid`."""
-    config = preset_config(name, grid)
-    chain = geometry_chain(grid, config.layers)
-    return MlpArchitecture(
-        input_width=classifier_width(chain, config.features_mode),
-        hidden=config.hidden,
-        output_units=config.output_units,
-    )
-
-
 # ---------------------------------------------------------------------------
 # report files
 
@@ -273,14 +251,16 @@ def write_windows_csv(path: str | Path, stack: ConvStack) -> None:
                 )
 
 
+def geometry_line(stack: ConvStack) -> str:
+    """The input grid and every layer's output grid, as reports print them."""
+    grids = [stack.layers[0].input_grid] + [layer.output_grid for layer in stack.layers]
+    return "geometry: " + " -> ".join(f"{g.rows}x{g.cols}" for g in grids)
+
+
 def format_report(bundle: ModelBundle, train_result: TrainResult | None = None) -> str:
     lines: list[str] = []
     if bundle.stack is not None:
-        chain = [bundle.stack.layers[0].input_grid] + [
-            layer.output_grid for layer in bundle.stack.layers
-        ]
-        dims = " -> ".join(f"{g.rows}x{g.cols}" for g in chain)
-        lines.append(f"geometry: {dims}")
+        lines.append(geometry_line(bundle.stack))
         for li, layer in enumerate(bundle.stack.layers, start=1):
             s = layer.spec
             lines.append(

@@ -41,6 +41,8 @@ class ParityModelSpec:
     def __post_init__(self) -> None:
         if self.n_features < 1 or self.n_train < 1 or self.n_test < 0:
             raise ConfigError("dataset sizes must be positive (n_test may be 0)")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not self.modules:
             raise ConfigError("at least one parity module is required")
         total = 0.0

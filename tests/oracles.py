@@ -3,15 +3,25 @@
 Everything here is written the slow, obvious way on purpose: plain loops
 and dictionaries, no shared code with interconv. If a fast path and its
 oracle agree, both would have to be wrong in the same way to hide a bug.
-The one exception is `reference_window_feature`, which composes the
-package's own per-window reference functions to pin the lockstep layer fit.
+The exceptions are `reference_window_feature`, which composes the package's
+own per-window reference functions to pin the lockstep layer fit, and
+`preset_architecture`, which reads the package's presets and geometry.
 """
 
 import itertools
 
 import numpy as np
 
-from interconv import UndefinedMetricError, auc, backward_drop, partition_stats
+from interconv import (
+    GridShape,
+    MlpArchitecture,
+    UndefinedMetricError,
+    auc,
+    backward_drop,
+    partition_stats,
+    preset_config,
+)
+from interconv.pipeline import geometry_chain
 
 
 def pairwise_auc(y_true, scores):
@@ -203,3 +213,22 @@ def reference_window_feature(data, window):
         train_auc = float("nan")
     fallback = float(data.response.mean())
     return trace.best_subset, trace.best_score, stats.keys, means, fallback, train_auc
+
+
+def classifier_width(chain, mode):
+    """Classifier input width for a geometry chain (input grid first)."""
+    outputs = chain[1:]
+    if mode == "concat":
+        return sum(g.size for g in outputs)
+    return outputs[-1].size
+
+
+def preset_architecture(name, grid=GridShape(128, 128)):
+    """The classifier architecture a preset produces on `grid`."""
+    config = preset_config(name, grid)
+    chain = geometry_chain(grid, config.layers)
+    return MlpArchitecture(
+        input_width=classifier_width(chain, config.features_mode),
+        hidden=config.hidden,
+        output_units=config.output_units,
+    )

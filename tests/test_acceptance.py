@@ -16,6 +16,7 @@ from oracles import (
     finite_difference_grads,
     pairwise_auc,
     parity_bayes_auc,
+    preset_architecture,
     spearman,
     visible_modules,
     whole_modules,
@@ -45,7 +46,6 @@ from interconv import (
     output_dim,
     param_count,
     predict_bundle,
-    preset_architecture,
     theoretical_rate,
     write_pgm,
 )

@@ -192,7 +192,15 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "setting",
-    ["hidden=abc", "test_per_class=two", "augment_per_class=1.5", "noise_sd=high"],
+    [
+        "hidden=abc",
+        "test_per_class=two",
+        "augment_per_class=1.5",
+        "noise_sd=high",
+        "seed=-1",
+        "test_per_class=-2",
+        "augment_per_class=-3",
+    ],
 )
 def test_bad_numeric_value_exits_2(tmp_path, capsys, setting):
     manifest = tmp_path / "manifest.csv"
@@ -213,6 +221,13 @@ def test_bad_numeric_value_exits_2(tmp_path, capsys, setting):
     assert "Traceback" not in err
 
 
+def test_negative_synth_seed_exits_2(tmp_path, capsys):
+    code, _, err = run(capsys, "synth", "--out", str(tmp_path / "x"), "--seed", "-1")
+    assert code == 2
+    assert "seed" in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_missing_train_file_exits_3(tmp_path, capsys):
     code, _, err = run(
         capsys,
@@ -221,6 +236,22 @@ def test_missing_train_file_exits_3(tmp_path, capsys):
         "--set", "train=/nonexistent/data.csv",
     )
     assert code == 3
+
+
+def test_diverging_fit_exits_4(tmp_path, synth_dir, capsys):
+    out = tmp_path / "big_step"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, _, err = run(
+            capsys,
+            "train",
+            "--out", str(out),
+            "--set", f"train={synth_dir / 'train.csv'}",
+            "--set", "learning_rate=1e307",
+            "--set", "epochs=3",
+        )
+    assert code == 4
+    assert "learning_rate" in err
+    assert (out / "resolved.cfg").exists()  # written before training starts
 
 
 def test_bad_geometry_exits_2_without_outputs(tmp_path, synth_dir, capsys):
@@ -267,6 +298,23 @@ def test_unservable_bundle_exits_3(tmp_path, synth_dir, fit_dir, capsys):
     )
     assert code == 3
     assert "subset index" in err
+    assert not (tmp_path / "p").exists()
+
+
+def test_weights_disagreeing_with_the_architecture_exit_3(tmp_path, synth_dir, fit_dir, capsys):
+    bundle = load_bundle(fit_dir / "model.bundle")
+    bad = tmp_path / "bad.bundle"
+    save_bundle(dataclasses.replace(bundle, weights=(bundle.weights[0][:-1],)), bad)
+    code, _, err = run(
+        capsys,
+        "predict",
+        "--bundle", str(bad),
+        "--data", str(synth_dir / "test.csv"),
+        "--out", str(tmp_path / "p"),
+    )
+    assert code == 3
+    assert "weight shapes" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "p").exists()
 
 

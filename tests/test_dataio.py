@@ -296,6 +296,19 @@ def first_replaced(arr, value):
     return np.concatenate([[value], arr[1:]]).astype(arr.dtype)
 
 
+def replaced_at(arr, i, value):
+    out = arr.copy()
+    out[i] = value
+    return out
+
+
+def reversed_first_window(layer, arr):
+    """A cell array with window 0's cells in reverse order."""
+    n = layer.ncells[0]
+    assert n > 1
+    return np.concatenate([arr[:n][::-1], arr[n:]])
+
+
 # each case leaves every checksum valid but the layer unservable: the
 # replacement arrays of layer 0, and the complaint expected at load
 BAD_LAYERS = {
@@ -351,6 +364,45 @@ BAD_LAYERS = {
         lambda la: {"cell_keys": la.cell_keys[:, np.newaxis]},
         "cell_keys is not 1-d",
     ),
+    "level count below 2": (
+        lambda la: {"level_counts": first_replaced(la.level_counts, 1)},
+        "a level count is below 2",
+    ),
+    "more cells than 64-bit keys hold": (
+        lambda la: {"level_counts": np.full_like(la.level_counts, 2**32)},
+        "more than 2**62 cells",
+    ),
+    "negative cell key": (
+        lambda la: {"cell_keys": first_replaced(la.cell_keys, -5)},
+        "a cell key lies outside its subset's cell range",
+    ),
+    "cell key at its subset's cell count": (
+        lambda la: {"cell_keys": replaced_at(la.cell_keys, la.ncells[0] - 1, 2 ** la.subset_len[0])},
+        "a cell key lies outside its subset's cell range",
+    ),
+    "first window's cells reversed": (
+        lambda la: {
+            "cell_keys": reversed_first_window(la, la.cell_keys),
+            "cell_means": reversed_first_window(la, la.cell_means),
+        },
+        "cell keys are not strictly ascending within a window",
+    ),
+    "repeated cell key": (
+        lambda la: {"cell_keys": replaced_at(la.cell_keys, 1, la.cell_keys[0])},
+        "cell keys are not strictly ascending within a window",
+    ),
+    "cell mean above 1": (
+        lambda la: {"cell_means": first_replaced(la.cell_means, 7.0)},
+        "a cell mean or fallback is not a finite value in [0, 1]",
+    ),
+    "NaN cell mean": (
+        lambda la: {"cell_means": first_replaced(la.cell_means, np.nan)},
+        "a cell mean or fallback is not a finite value in [0, 1]",
+    ),
+    "infinite fallback": (
+        lambda la: {"fallback": first_replaced(la.fallback, np.inf)},
+        "a cell mean or fallback is not a finite value in [0, 1]",
+    ),
 }
 
 
@@ -362,6 +414,54 @@ def test_unservable_layer_is_refused_at_load(tmp_path, case):
     path = tmp_path / "model.bundle"
     save_bundle(bad, path)
     with pytest.raises(BundleFormatError, match="layer 0: .*" + re.escape(complaint)):
+        load_bundle(path)
+
+
+# each case keeps every layer servable on its own but makes the parts of the
+# bundle disagree: the replaced bundle, and the complaint expected at load
+BAD_BUNDLES = {
+    "first weight matrix one row short": (
+        lambda b: dataclasses.replace(b, weights=(b.weights[0][:-1], *b.weights[1:])),
+        "weight shapes differ from the architecture's [(41, 5), (5, 2)]",
+    ),
+    "classifier narrower than the stack": (
+        lambda b: dataclasses.replace(
+            b, arch=dataclasses.replace(b.arch, input_width=40), weights=(b.weights[0][:-1], *b.weights[1:])
+        ),
+        "classifier input width 40, stack output 41",
+    ),
+    "concat classifier on the last layer's features": (
+        lambda b: dataclasses.replace(b, features_mode="last"),
+        "classifier input width 41, stack output 16",
+    ),
+    "discretizer one threshold short": (
+        lambda b: dataclasses.replace(
+            b, discretizer=dataclasses.replace(b.discretizer, thresholds=b.discretizer.thresholds[:-1])
+        ),
+        "the discretizer before layer 0 has 35 thresholds",
+    ),
+    "rediscretizer one threshold short": (
+        lambda b: dataclasses.replace(
+            b,
+            stack=dataclasses.replace(
+                b.stack,
+                rediscretizers=tuple(
+                    dataclasses.replace(d, thresholds=d.thresholds[:-1]) for d in b.stack.rediscretizers
+                ),
+            ),
+        ),
+        "the discretizer before layer 1 has 24 thresholds",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_BUNDLES))
+def test_inconsistent_bundle_is_refused_at_load(tmp_path, case):
+    bundle, _ = fitted_bundle()
+    replace, complaint = BAD_BUNDLES[case]
+    path = tmp_path / "model.bundle"
+    save_bundle(replace(bundle), path)
+    with pytest.raises(BundleFormatError, match=re.escape(complaint)):
         load_bundle(path)
 
 

