@@ -6,6 +6,14 @@ subset inside the window, and the engineered feature value of a row is the
 in cells never seen during fitting fall back to the training grand mean, so
 transformed values always stay inside [0, 1].
 
+Serving reads a dense lookup table built from a layer's flat arrays: window
+w owns the slice [offset_w, offset_w + space_w), space_w being the product
+of its subset's level counts, holding its cell means at their mixed-radix
+cell keys (as `encode_cells` keys them) and its fallback mean everywhere
+else. A row's value for window w is then one gather at offset_w plus its cell
+key. Layers whose table would hold more than `TABLE_LIMIT` entries keep the
+per-window `searchsorted` over each window's occupied cell keys.
+
 Stacking layers re-binarizes the engineered features (per-feature median by
 default) before the next layer is fit; the thresholds fitted between layers
 travel with the stack so new data can be pushed through identically.
@@ -91,10 +99,39 @@ class FittedConvLayer:
             for b, (s_n, s_end, c_n, c_end, fallback, iscore, train_auc) in enumerate(per_window, start=1)
         )
 
+    @cached_property
+    def lookup_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+        """(radix, subset starts, window offsets, table) for dense lookup, or
+        None when the table would hold more than `TABLE_LIMIT` entries.
+
+        `radix` is each subset element's mixed-radix place value; window w's
+        code for a row is the sum over its subset of level * radix, plus
+        offset[w], and `table` at that code is the row's engineered value.
+        """
+        sizes = self.level_counts[self.subset_flat]
+        starts = np.cumsum(self.subset_len) - self.subset_len
+        rank = np.arange(len(sizes)) - np.repeat(starts, self.subset_len)
+        radix = np.ones_like(sizes)
+        for r in range(1, int(self.subset_len.max())):
+            at = np.flatnonzero(rank == r)
+            radix[at] = radix[at - 1] * sizes[at - 1]
+        space = np.multiply.reduceat(sizes, starts)  # at most 2**62, as fit and load enforce
+        # capped per window first, so the sum cannot overflow
+        if (space > TABLE_LIMIT).any() or space.sum() > TABLE_LIMIT:
+            return None
+        offset = np.cumsum(space) - space
+        table = np.repeat(self.fallback, space)
+        table[np.repeat(offset, self.ncells) + self.cell_keys] = self.cell_means
+        return radix, starts, offset, table
+
 
 # Bound on rows x candidate subsets in one key gather: the lockstep fit
-# groups that many keys at once, so this caps its working memory.
+# groups that many keys at once, and `transform` codes that many subset
+# elements at once, so this caps their working memory.
 GATHER_LIMIT = 2**17
+
+# Most entries (8 bytes each) a layer's dense lookup table may hold.
+TABLE_LIMIT = 2**20
 
 
 def _drop_one(size: int) -> np.ndarray:
@@ -247,15 +284,27 @@ def transform(layer: FittedConvLayer, data: DiscreteDataset) -> RealDataset:
     """Engineered features for `data`, one column per window position.
 
     Uses only training-time state (cell means and fallback); cells unseen at
-    fit time map to the fallback mean.
+    fit time map to the fallback mean. Rows are coded in chunks of at most
+    `GATHER_LIMIT` subset elements and read from the layer's dense lookup
+    table with one gather per chunk; a layer over `TABLE_LIMIT` entries looks
+    each window's cell keys up in its sorted occupied keys instead.
     """
     if data.width != layer.input_grid.size:
         raise DataError(
             f"layer expects {layer.input_grid.size} columns, data has {data.width}"
         )
+    # also what keeps a dense code inside its own window's slice of the table
     if (data.level_counts > layer.level_counts).any():
         raise DataError("data has more levels per column than the layer was fit on")
     cols = np.empty((data.n, layer.n_windows), dtype=np.float64)
+    lookup = layer.lookup_table
+    if lookup is not None:
+        radix, starts, offset, table = lookup
+        step = max(1, GATHER_LIMIT // len(radix))
+        for lo in range(0, data.n, step):
+            levels = data.features[lo : lo + step, layer.subset_flat] * radix
+            cols[lo : lo + step] = table[np.add.reduceat(levels, starts, axis=1) + offset]
+        return RealDataset(cols, data.response)
     for j, f in enumerate(layer.features):
         keys = encode_cells(data.features, f.selected_subset, layer.level_counts)
         pos = np.minimum(np.searchsorted(f.cell_keys, keys), len(f.cell_keys) - 1)

@@ -529,6 +529,8 @@ def load_bundle(path: str | Path) -> ModelBundle:
             raise BundleFormatError(f"{path}: weight shapes differ from the architecture's {arch.layer_shapes()}")
         features_mode = man.get("features_mode", "last")
         if layers:
+            if grid is not None and grid != layers[0].input_grid:
+                raise BundleFormatError(f"{path}: input grid {grid.rows}x{grid.cols} differs from layer 0's")
             widths = [layer.n_windows for layer in layers]
             width = sum(widths) if features_mode == "concat" else widths[-1]
             if arch.input_width != width:

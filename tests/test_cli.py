@@ -1,12 +1,13 @@
 """Subcommand round trips through main(), including exit codes and the
 worker-count determinism guarantee."""
 
+import argparse
 import dataclasses
 
 import numpy as np
 import pytest
 
-from interconv import ParityModelSpec, PipelineConfig, load_bundle, read_pgm, save_bundle, write_pgm
+from interconv import GridShape, ParityModelSpec, PipelineConfig, load_bundle, read_pgm, save_bundle, write_pgm
 from interconv.cli import build_parser, build_pipeline_config, build_synth_spec, main, resolve_config
 
 
@@ -182,6 +183,46 @@ def test_cli_defaults_are_the_library_defaults():
     assert build_synth_spec(resolve_config(synth_args)) == ParityModelSpec()
 
 
+# per option: flags, help text, default, required, type and metavar, in
+# the order `--help` lists them
+CONFIG_OPTIONS = [
+    ("--config", "key=value configuration file", None, False, None, None),
+    ("--set", "override one config key (repeatable)", None, False, None, "KEY=VALUE"),
+    ("--seed", "override the seed key", None, False, int, None),
+    ("--workers", "override the workers key (no effect)", None, False, int, None),
+]
+BUNDLE = ("--bundle", None, None, True, None, None)
+DATA = ("--data", None, None, True, None, None)
+OUT = ("--out", None, None, True, None, None)
+HELP = {
+    "synth": ("generate the synthetic parity benchmark",
+              [*CONFIG_OPTIONS, ("--out", "output directory", None, True, None, None)]),
+    "fit": ("fit the full pipeline and save a model bundle", [*CONFIG_OPTIONS, OUT]),
+    "train": ("train a classifier on flat features (no window layers)", [*CONFIG_OPTIONS, OUT]),
+    "transform": ("apply a bundle's window stack to data",
+                  [BUNDLE, ("--data", "dataset CSV or image manifest", None, True, None, None), OUT]),
+    "predict": ("score rows with a fitted bundle", [BUNDLE, DATA, OUT]),
+    "eval": ("ROC/AUC evaluation of a bundle on labeled data",
+             [BUNDLE, DATA, OUT, ("--threshold", None, 0.5, False, float, None)]),
+    "export-maps": ("write per-layer feature maps as PGM images",
+                    [BUNDLE, DATA, OUT,
+                     ("--rows", "comma-separated 1-based rows (default: first 10)", None, False, None, None)]),
+    "report": ("print the fit report stored in a bundle",
+               [BUNDLE, ("--out", "optional output directory", None, False, None, None)]),
+}
+
+
+def test_subcommand_help_is_pinned():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(HELP)
+    assert [a.help for a in sub._choices_actions] == [text for text, _ in HELP.values()]
+    for name, (_, options) in HELP.items():
+        actions = [a for a in sub.choices[name]._actions if not isinstance(a, argparse._HelpAction)]
+        listed = [(*a.option_strings, a.help, a.default, a.required, a.type, a.metavar) for a in actions]
+        assert listed == options, name
+
+
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     code, _, err = run(
         capsys, "synth", "--out", str(tmp_path / "x"), "--set", "bogus=1"
@@ -314,6 +355,23 @@ def test_weights_disagreeing_with_the_architecture_exit_3(tmp_path, synth_dir, f
     )
     assert code == 3
     assert "weight shapes" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "p").exists()
+
+
+def test_input_grid_disagreeing_with_the_first_layer_exit_3(tmp_path, synth_dir, fit_dir, capsys):
+    bundle = load_bundle(fit_dir / "model.bundle")
+    bad = tmp_path / "bad.bundle"
+    save_bundle(dataclasses.replace(bundle, input_grid=GridShape(7, 7)), bad)
+    code, _, err = run(
+        capsys,
+        "predict",
+        "--bundle", str(bad),
+        "--data", str(synth_dir / "test.csv"),
+        "--out", str(tmp_path / "p"),
+    )
+    assert code == 3
+    assert "input grid 7x7 differs from layer 0's" in err
     assert "Traceback" not in err
     assert not (tmp_path / "p").exists()
 

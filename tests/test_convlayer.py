@@ -5,6 +5,8 @@ the response over rows sharing the same selected-cell membership, recomputed
 here with plain dictionaries.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from interconv import (
     WindowSpec,
     enumerate_windows,
     fit_layer,
+    output_grid,
     stack_layers,
     stack_outputs,
     transform,
@@ -297,3 +300,71 @@ def test_fit_rejects_cell_keys_that_overflow_64_bits():
     assert fit_layer(train, GridShape(2, 3), WindowSpec(window=1, stride=1)).n_windows == 6
     with pytest.raises(DataError, match=r"partition of subset \(1, 2, 4, 5\) overflows 64-bit"):
         fit_layer(train, GridShape(2, 3), WindowSpec(window=2, stride=1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.integers(1, 3),
+    st.integers(1, 2),
+    st.integers(2, 3),
+    st.integers(1, 40),
+    st.sampled_from(["median", "global:0.5", "quantile:0.3"]),
+    st.booleans(),
+)
+def test_dense_transform_equals_per_window_lookup(
+    seed, rows, cols, window, stride, levels, n, rediscretize, two_layers
+):
+    """Mixed level counts per column, distinct fallbacks per window, held-out
+    rows in cells unseen at fit time and with fewer levels than training, and
+    re-binarized second layers."""
+    window = min(window, rows, cols)
+    grid, spec = GridShape(rows, cols), WindowSpec(window=window, stride=stride)
+    gen = np.random.default_rng(seed)
+    counts = gen.integers(2, levels + 1, size=grid.size)
+    train = DiscreteDataset(gen.integers(0, counts, size=(n, grid.size)), gen.integers(0, 2, size=n), counts)
+    specs = [spec]
+    if two_layers:
+        inner = output_grid(grid, spec)
+        specs.append(WindowSpec(window=min(2, inner.rows, inner.cols), stride=1))
+    stack, _ = stack_layers(train, grid, specs, rediscretize=rediscretize)
+    # a fallback per window, as a bundle may carry them
+    fitted = tuple(dataclasses.replace(lay, fallback=gen.random(lay.n_windows)) for lay in stack.layers)
+    stack = dataclasses.replace(stack, layers=fitted)
+    fresh = gen.integers(0, counts, size=(30, grid.size))
+    held = DiscreteDataset(np.concatenate([train.features, fresh]), gen.integers(0, 2, size=n + 30))
+    dense = stack_outputs(stack, held)
+    assert all(layer.lookup_table is not None for layer in stack.layers)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(convlayer, "TABLE_LIMIT", 0)
+        sparse_stack = dataclasses.replace(stack, layers=tuple(dataclasses.replace(lay) for lay in stack.layers))
+        sparse = stack_outputs(sparse_stack, held)
+        assert all(layer.lookup_table is None for layer in sparse_stack.layers)
+    for a, b in zip(dense, sparse):
+        assert a.features.tobytes() == b.features.tobytes()
+
+
+def test_dense_transform_is_the_same_in_any_chunking(monkeypatch):
+    train = binary_dataset(90, 64, seed=21)
+    layer = fit_layer(train, GridShape(8, 8), WindowSpec(window=3, stride=1))
+    fresh = binary_dataset(300, 64, seed=22)
+    whole = transform(layer, fresh)
+    monkeypatch.setattr(convlayer, "GATHER_LIMIT", 1)  # one row per chunk
+    single = transform(layer, fresh)
+    assert whole.features.tobytes() == single.features.tobytes()
+
+
+def test_in_cap_layers_never_read_per_window_records(monkeypatch):
+    def per_window(self):
+        raise AssertionError("transform took the per-window lookup")
+
+    monkeypatch.setattr(convlayer.FittedConvLayer, "features", property(per_window))
+    train = binary_dataset(60, 36, seed=23)
+    layer = fit_layer(train, GridShape(6, 6), WindowSpec(window=3, stride=1))
+    fresh = binary_dataset(40, 36, seed=24)
+    assert transform(layer, fresh).features.shape == (40, layer.n_windows)
+    monkeypatch.setattr(convlayer, "TABLE_LIMIT", 0)
+    with pytest.raises(AssertionError, match="per-window lookup"):
+        transform(dataclasses.replace(layer), fresh)

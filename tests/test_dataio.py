@@ -452,6 +452,10 @@ BAD_BUNDLES = {
         ),
         "the discretizer before layer 1 has 24 thresholds",
     ),
+    "input grid other than the first layer's": (
+        lambda b: dataclasses.replace(b, input_grid=GridShape(7, 7)),
+        "input grid 7x7 differs from layer 0's",
+    ),
 }
 
 

@@ -162,6 +162,18 @@ def test_fit_pipeline_validation_split(monkeypatch):
             fit_pipeline(config, data, val_data=short)
 
 
+def test_fit_pipeline_checks_every_window_before_any_work(monkeypatch):
+    # the first layer fits the 6x6 grid; the second (6x6 on its 5x5 output) does not
+    def no_work(*args, **kwargs):
+        raise AssertionError("fitting started before the window chain was checked")
+
+    monkeypatch.setattr(pipeline, "fit_discretizer", no_work)
+    monkeypatch.setattr(pipeline, "stack_layers", no_work)
+    config = small_config(layers=(WindowSpec(2, 1), WindowSpec(6, 1)))
+    with pytest.raises(GeometryError):
+        fit_pipeline(config, synthetic_real())
+
+
 def test_evaluate_bundle_matches_metrics():
     data = synthetic_real(seed=4)
     bundle, _ = fit_pipeline(small_config(), data)
