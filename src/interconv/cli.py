@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -109,9 +110,12 @@ def _parse_int(raw: dict[str, str], key: str) -> int:
 
 def _parse_float(raw: dict[str, str], key: str) -> float:
     try:
-        return float(raw[key])
+        value = float(raw[key])
     except ValueError:
-        raise ConfigError(f"{key} must be a number, got {raw[key]!r}") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be a finite number, got {raw[key]!r}")
+    return value
 
 
 def _parse_grid(text: str) -> GridShape:
@@ -353,6 +357,8 @@ def cmd_predict(args, bundle, data, sources) -> int:
 
 
 def cmd_eval(args, bundle, data, sources) -> int:
+    if math.isnan(args.threshold):
+        raise ConfigError("--threshold must be a number, got nan")
     summary, curve = evaluate_bundle(bundle, data, threshold=args.threshold)
     out = _out_dir(args)
     write_roc_csv(out / "roc.csv", curve)

@@ -368,6 +368,9 @@ def stack_outputs(stack: ConvStack, data: DiscreteDataset) -> list[RealDataset]:
     return outputs
 
 
+FEATURE_MODES = ("last", "concat")
+
+
 def _join_outputs(outputs: list[RealDataset], response: np.ndarray, mode: str) -> RealDataset:
     if mode == "last":
         return outputs[-1]

@@ -98,14 +98,18 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _is_binary(values: np.ndarray) -> bool:
+    """Whether every value is 0 or 1, compared before any cast."""
+    return bool(((values == 0) | (values == 1)).all())
+
+
 def _check_response(response: np.ndarray, n: int) -> np.ndarray:
     response = np.asarray(response)
     if response.shape != (n,):
         raise DataError(f"response shape {response.shape} does not match {n} rows")
-    vals = np.unique(response)
-    if not np.isin(vals, (0, 1)).all():
+    if not _is_binary(response):
         raise DataError("response must contain only 0 and 1")
-    return response.astype(np.int64)
+    return response.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,7 +118,8 @@ class DiscreteDataset:
 
     `level_counts[j]` is the number of admissible levels of column j; values
     in column j must lie in [0, level_counts[j]). Arrays are frozen after
-    construction.
+    construction; an input that is already C-contiguous int64 is shared and
+    frozen in place, not copied.
     """
 
     features: np.ndarray
@@ -126,9 +131,11 @@ class DiscreteDataset:
         if feats.ndim != 2 or feats.shape[0] < 1 or feats.shape[1] < 1:
             raise DataError(f"features must be a non-empty 2-d array, got shape {feats.shape}")
         if not np.issubdtype(feats.dtype, np.integer):
+            if not np.isfinite(feats).all():
+                raise DataError("discrete features must be finite")
             if not np.all(feats == np.floor(feats)):
                 raise DataError("discrete features must be integer-valued")
-        feats = feats.astype(np.int64)
+        feats = feats.astype(np.int64, copy=False)
         if feats.min() < 0:
             raise DataError("discrete features must be non-negative")
         n, p = feats.shape
@@ -156,7 +163,11 @@ class DiscreteDataset:
 
 @dataclass(frozen=True, eq=False)
 class RealDataset:
-    """Rows of real-valued features with a binary response."""
+    """Rows of real-valued features with a binary response.
+
+    Arrays are frozen after construction; an input that is already
+    C-contiguous float64 is shared and frozen in place, not copied.
+    """
 
     features: np.ndarray
     response: np.ndarray

@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .convlayer import LAYER_ARRAYS, ConvStack, FittedConvLayer
-from .core import DiscreteDataset, GridShape, RealDataset, WindowSpec
+from .convlayer import FEATURE_MODES, LAYER_ARRAYS, ConvStack, FittedConvLayer
+from .core import DiscreteDataset, GridShape, RealDataset, WindowSpec, _check_response, _freeze
 from .discretize import Discretizer
 from .errors import (
     BundleFormatError,
@@ -56,17 +56,11 @@ class ImageSet:
             )
         if x.size and (x.min() < 0.0 or x.max() > 1.0):
             raise DataError("intensities must lie in [0, 1]")
-        labels = np.asarray(self.labels, dtype=np.int64)
-        if labels.shape != (x.shape[0],) or len(self.sources) != x.shape[0]:
-            raise DataError("labels/sources length does not match image count")
-        if labels.size and not np.isin(np.unique(labels), (0, 1)).all():
-            raise DataError("labels must be 0 or 1")
-        x = np.ascontiguousarray(x)
-        x.flags.writeable = False
-        labels = np.ascontiguousarray(labels)
-        labels.flags.writeable = False
-        object.__setattr__(self, "intensities", x)
-        object.__setattr__(self, "labels", labels)
+        labels = _check_response(self.labels, x.shape[0])
+        if len(self.sources) != x.shape[0]:
+            raise DataError(f"{len(self.sources)} sources for {x.shape[0]} images")
+        object.__setattr__(self, "intensities", _freeze(x))
+        object.__setattr__(self, "labels", _freeze(labels))
         object.__setattr__(self, "sources", tuple(self.sources))
 
     @property
@@ -502,6 +496,8 @@ def load_bundle(path: str | Path) -> ModelBundle:
         if "discretizer" in man:
             disc = _get_discretizer(sections, man, "discretizer", "discretizer_param", "disc/thresholds")
         n_layers = int(man["n_layers"])
+        if n_layers < 0:
+            raise BundleFormatError(f"{path}: layer count {n_layers} is negative")
         layers: list[FittedConvLayer] = []
         for k in range(n_layers):
             spec = WindowSpec(
@@ -528,7 +524,11 @@ def load_bundle(path: str | Path) -> ModelBundle:
         if [w.shape for w in weights] != arch.layer_shapes():
             raise BundleFormatError(f"{path}: weight shapes differ from the architecture's {arch.layer_shapes()}")
         features_mode = man.get("features_mode", "last")
+        if features_mode not in FEATURE_MODES:
+            raise BundleFormatError(f"{path}: features mode {features_mode!r} is not one of {FEATURE_MODES}")
         if layers:
+            if disc is None:
+                raise BundleFormatError(f"{path}: bundle has window layers but no discretizer")
             if grid is not None and grid != layers[0].input_grid:
                 raise BundleFormatError(f"{path}: input grid {grid.rows}x{grid.cols} differs from layer 0's")
             widths = [layer.n_windows for layer in layers]
@@ -538,7 +538,7 @@ def load_bundle(path: str | Path) -> ModelBundle:
             # the discretizer feeding layer k has one threshold per column of its input
             columns = [layers[0].input_grid.size, *widths]
             for k, stage in enumerate([disc, *rediscs]):
-                if stage is not None and stage.width != columns[k]:
+                if stage.width != columns[k]:
                     raise BundleFormatError(f"{path}: the discretizer before layer {k} has {stage.width} thresholds")
     except KeyError as exc:
         raise BundleFormatError(f"{path}: manifest is missing {exc}") from exc

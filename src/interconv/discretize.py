@@ -13,11 +13,12 @@ never looks at the data it is given beyond the feature values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiscreteDataset, RealDataset
+from .core import DiscreteDataset, RealDataset, _freeze
 from .errors import ConfigError, DataError
 
 METHODS = ("global", "median", "quantile")
@@ -37,9 +38,7 @@ class Discretizer:
         thr = np.asarray(self.thresholds, dtype=np.float64)
         if thr.ndim != 1:
             raise ConfigError("thresholds must be a 1-d array")
-        thr = np.ascontiguousarray(thr)
-        thr.flags.writeable = False
-        object.__setattr__(self, "thresholds", thr)
+        object.__setattr__(self, "thresholds", _freeze(thr))
 
     @property
     def width(self) -> int:
@@ -59,7 +58,9 @@ def parse_discretizer_spec(text: str) -> tuple[str, float | None]:
         try:
             value = float(arg)
         except ValueError:
-            raise ConfigError(f"bad {method} parameter {arg!r}") from None
+            value = math.nan
+        if not math.isfinite(value):
+            raise ConfigError(f"{method} discretizer parameter must be a finite number, got {arg!r}")
         if method == "quantile" and not (0.0 < value < 1.0):
             raise ConfigError(f"quantile must lie in (0, 1), got {value}")
         return method, value

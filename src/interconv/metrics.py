@@ -12,17 +12,18 @@ from pathlib import Path
 
 import numpy as np
 
+from .core import _is_binary
 from .errors import UndefinedMetricError
 
 
 def _checked(y_true, scores):
-    y = np.asarray(y_true, dtype=np.int64).ravel()
+    y = np.asarray(y_true).ravel()
     s = np.asarray(scores, dtype=np.float64).ravel()
     if y.shape != s.shape:
         raise UndefinedMetricError(f"labels {y.shape} and scores {s.shape} differ in length")
-    if y.size == 0 or not np.isin(np.unique(y), (0, 1)).all():
+    if y.size == 0 or not _is_binary(y):
         raise UndefinedMetricError("labels must be a non-empty 0/1 vector")
-    return y, s
+    return y.astype(np.int64, copy=False), s
 
 
 def sensitivity(y_true, scores, threshold: float) -> float:

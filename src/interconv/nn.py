@@ -58,8 +58,8 @@ class TrainingHyper:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < np.inf:
+            raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if not (0.0 <= self.decay < 1.0):
             raise ConfigError(f"decay must lie in [0, 1), got {self.decay}")
         if self.epochs < 0:

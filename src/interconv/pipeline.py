@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .convlayer import ConvStack, _join_outputs, stack_layers, stack_outputs, transform_stack
+from .convlayer import FEATURE_MODES, ConvStack, _join_outputs, stack_layers, stack_outputs, transform_stack
 from .core import DiscreteDataset, GridShape, RealDataset, WindowSpec, output_grid
 from .dataio import ModelBundle, save_bundle
 from .discretize import apply_discretizer, fit_discretizer, parse_discretizer_spec
@@ -28,9 +28,6 @@ from .nn import (
     train,
     write_loss_csv,
 )
-
-FEATURE_MODES = ("last", "concat")
-
 
 # the old name of the spec-taking fit, kept for callers that import it
 fit_discretizer_spec = fit_discretizer
@@ -139,10 +136,7 @@ def fit_pipeline(
 def _input_rows(bundle: ModelBundle, features: np.ndarray) -> RealDataset | DiscreteDataset:
     """Raw feature rows as the bundle's first stage sees them: discretized
     when it has window layers, unchanged otherwise."""
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2:
-        raise DataError(f"expected a feature matrix, got shape {x.shape}")
-    dataset = RealDataset(x, np.zeros(x.shape[0], dtype=np.int64))
+    dataset = RealDataset(features, np.zeros(np.shape(features)[:1], dtype=np.int64))
     if bundle.stack is None:
         return dataset
     if bundle.discretizer is None:

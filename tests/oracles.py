@@ -6,9 +6,13 @@ oracle agree, both would have to be wrong in the same way to hide a bug.
 The exceptions are `reference_window_feature`, which composes the package's
 own per-window reference functions to pin the lockstep layer fit, and
 `preset_architecture`, which reads the package's presets and geometry.
+`with_manifest` rewrites a saved bundle's manifest, parsing the file
+format by hand.
 """
 
 import itertools
+import struct
+import zlib
 
 import numpy as np
 
@@ -232,3 +236,25 @@ def preset_architecture(name, grid=GridShape(128, 128)):
         hidden=config.hidden,
         output_units=config.output_units,
     )
+
+
+def with_manifest(path, **values):
+    """Set manifest keys of the bundle file at `path`, keeping every CRC-32
+    valid. The format is walked by hand: 8 magic bytes, version and section
+    count, then per section its name, kind, length, payload and checksum."""
+    data = path.read_bytes()
+    parts, pos = [data[:16]], 16
+    while pos < len(data):
+        (name_len,) = struct.unpack_from("<H", data, pos)
+        name = data[pos + 2 : pos + 2 + name_len]
+        kind, size = struct.unpack_from("<BQ", data, pos + 2 + name_len)
+        start = pos + 11 + name_len
+        payload = data[start : start + size]
+        if name == b"manifest":
+            manifest = dict(line.split("=", 1) for line in payload.decode("utf-8").splitlines())
+            manifest.update(values)
+            payload = "".join(f"{k}={v}\n" for k, v in manifest.items()).encode("utf-8")
+        parts.append(struct.pack("<H", name_len) + name + struct.pack("<BQ", kind, len(payload)))
+        parts.append(payload + struct.pack("<I", zlib.crc32(payload)))
+        pos = start + size + 4
+    path.write_bytes(b"".join(parts))

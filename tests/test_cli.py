@@ -6,6 +6,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from oracles import with_manifest
 
 from interconv import GridShape, ParityModelSpec, PipelineConfig, load_bundle, read_pgm, save_bundle, write_pgm
 from interconv.cli import build_parser, build_pipeline_config, build_synth_spec, main, resolve_config
@@ -241,6 +242,13 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
         "seed=-1",
         "test_per_class=-2",
         "augment_per_class=-3",
+        "learning_rate=inf",
+        "learning_rate=nan",
+        "decay=nan",
+        "noise_sd=nan",
+        "noise_sd=inf",
+        "discretizer=global:nan",
+        "discretizer=global:-inf",
     ],
 )
 def test_bad_numeric_value_exits_2(tmp_path, capsys, setting):
@@ -260,6 +268,7 @@ def test_bad_numeric_value_exits_2(tmp_path, capsys, setting):
     assert code == 2
     assert setting.split("=")[0] in err
     assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
 
 
 def test_negative_synth_seed_exits_2(tmp_path, capsys):
@@ -374,6 +383,38 @@ def test_input_grid_disagreeing_with_the_first_layer_exit_3(tmp_path, synth_dir,
     assert "input grid 7x7 differs from layer 0's" in err
     assert "Traceback" not in err
     assert not (tmp_path / "p").exists()
+
+
+def test_negative_layer_count_exits_3(tmp_path, synth_dir, fit_dir, capsys):
+    bad = tmp_path / "bad.bundle"
+    bad.write_bytes((fit_dir / "model.bundle").read_bytes())
+    with_manifest(bad, n_layers="-1")
+    code, _, err = run(
+        capsys,
+        "predict",
+        "--bundle", str(bad),
+        "--data", str(synth_dir / "test.csv"),
+        "--out", str(tmp_path / "p"),
+    )
+    assert code == 3
+    assert "layer count -1 is negative" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "p").exists()
+
+
+def test_nan_threshold_exits_2(tmp_path, synth_dir, fit_dir, capsys):
+    code, out, err = run(
+        capsys,
+        "eval",
+        "--bundle", str(fit_dir / "model.bundle"),
+        "--data", str(synth_dir / "test.csv"),
+        "--out", str(tmp_path / "e"),
+        "--threshold", "nan",
+    )
+    assert code == 2
+    assert "threshold" in err
+    assert out == ""
+    assert not (tmp_path / "e").exists()
 
 
 def test_worker_override_does_not_change_results(tmp_path, synth_dir, capsys):

@@ -10,11 +10,17 @@ from interconv import (
     DiscreteDataset,
     GeometryError,
     GridShape,
+    ImageSet,
     RealDataset,
+    UndefinedMetricError,
     WindowSpec,
+    auc,
     enumerate_windows,
     output_dim,
     output_grid,
+    roc_curve,
+    sensitivity,
+    specificity,
 )
 
 # (axis length, start, window, stride) -> positions along the axis
@@ -136,11 +142,64 @@ def test_discrete_dataset_accepts_integer_valued_floats():
         (np.array([[0]]), np.array([2]), None),
         (np.array([[0]]), np.array([[0]]), None),
         (np.array([0, 1]), np.array([0, 1]), None),
+        (np.array([[np.inf]]), np.array([0]), None),
+        (np.array([[0.0], [-np.inf]]), np.array([0, 1]), None),
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_discrete_dataset_rejects_bad_input(features, response, levels):
     with pytest.raises(DataError):
         DiscreteDataset(features, response, levels)
+
+
+def test_discrete_dataset_names_non_finite_input():
+    with pytest.raises(DataError, match="finite"):
+        DiscreteDataset(np.array([[np.inf]]), np.array([0]))
+
+
+# every place that takes a 0/1 label vector: what it stores or returns for
+# labels `y`, and the error it raises for labels that are not 0/1
+SCORES = np.array([0.2, 0.9, 0.4, 0.6])
+LABEL_BOUNDARIES = {
+    "RealDataset": (lambda y: RealDataset(np.zeros((4, 1)), y).response, DataError),
+    "DiscreteDataset": (lambda y: DiscreteDataset(np.zeros((4, 1), dtype=np.int64), y).response, DataError),
+    "ImageSet": (lambda y: ImageSet(np.zeros((4, 1)), y, tuple("abcd"), GridShape(1, 1)).labels, DataError),
+    "auc": (lambda y: auc(y, SCORES), UndefinedMetricError),
+    "roc_curve": (lambda y: roc_curve(y, SCORES).sens, UndefinedMetricError),
+    "sensitivity": (lambda y: sensitivity(y, SCORES, 0.5), UndefinedMetricError),
+    "specificity": (lambda y: specificity(y, SCORES, 0.5), UndefinedMetricError),
+}
+
+
+@pytest.mark.parametrize("boundary", sorted(LABEL_BOUNDARIES))
+@pytest.mark.parametrize("bad", [0.5, 1.7, -1, 2, np.nan])
+def test_every_label_boundary_refuses_labels_other_than_0_and_1(boundary, bad):
+    take, error = LABEL_BOUNDARIES[boundary]
+    with pytest.raises(error):
+        take(np.array([bad, 1, 1, 0]))
+
+
+@pytest.mark.parametrize("boundary", sorted(LABEL_BOUNDARIES))
+@pytest.mark.parametrize("dtype", [np.int64, np.float64, bool])
+def test_every_label_boundary_accepts_0_and_1_in_any_dtype(boundary, dtype):
+    take, _ = LABEL_BOUNDARIES[boundary]
+    labels = np.array([0, 1, 1, 0])
+    got, want = take(labels.astype(dtype)), take(labels)
+    assert np.asarray(got).dtype == np.asarray(want).dtype
+    assert np.array_equal(got, want)
+
+
+def test_datasets_share_input_that_needs_no_conversion():
+    levels = np.array([[0, 1], [1, 0], [1, 1]], dtype=np.int64)
+    values = np.array([[0.25], [0.5], [0.75]])
+    response = np.array([0, 1, 1], dtype=np.int64)
+    for data, given in (
+        (DiscreteDataset(levels, response), levels),
+        (RealDataset(values, response), values),
+    ):
+        assert np.shares_memory(data.features, given)
+        assert np.shares_memory(data.response, response)
+        assert not given.flags.writeable and not data.features.flags.writeable
 
 
 def test_datasets_are_frozen():

@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from oracles import with_manifest
 
 from interconv import (
     BundleFormatError,
@@ -456,7 +457,18 @@ BAD_BUNDLES = {
         lambda b: dataclasses.replace(b, input_grid=GridShape(7, 7)),
         "input grid 7x7 differs from layer 0's",
     ),
+    "unknown features mode": (
+        lambda b: dataclasses.replace(b, features_mode="bogus"),
+        "features mode 'bogus' is not one of ('last', 'concat')",
+    ),
+    "window layers without a discretizer": (
+        lambda b: dataclasses.replace(b, discretizer=None),
+        "bundle has window layers but no discretizer",
+    ),
+    "negative layer count": (lambda b: b, "layer count -1 is negative"),
 }
+# manifest values no saved bundle carries, written over the saved file
+BAD_MANIFESTS = {"negative layer count": {"n_layers": "-1"}}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_BUNDLES))
@@ -465,6 +477,8 @@ def test_inconsistent_bundle_is_refused_at_load(tmp_path, case):
     replace, complaint = BAD_BUNDLES[case]
     path = tmp_path / "model.bundle"
     save_bundle(replace(bundle), path)
+    if case in BAD_MANIFESTS:
+        with_manifest(path, **BAD_MANIFESTS[case])
     with pytest.raises(BundleFormatError, match=re.escape(complaint)):
         load_bundle(path)
 
