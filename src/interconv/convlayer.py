@@ -74,6 +74,45 @@ class FittedConvLayer:
     iscore: np.ndarray
     auc: np.ndarray
 
+    def __post_init__(self) -> None:
+        """Refuse arrays that `transform` could not serve."""
+        for name in LAYER_ARRAYS:
+            arr = getattr(self, name)
+            kind = "f" if name in ("cell_means", "fallback", "iscore", "auc") else "i"
+            if arr.ndim != 1 or arr.dtype.kind != kind:
+                raise DataError(f"array {name} is not 1-d of kind {kind!r}")
+        n, size, window_size = self.n_windows, self.input_grid.size, self.spec.window**2
+        if {len(self.ncells), len(self.fallback), len(self.iscore), len(self.auc)} != {n}:
+            raise DataError("per-window arrays differ in length")
+        if ((self.subset_len < 1) | (self.subset_len > window_size)).any():
+            raise DataError(f"a subset length lies outside 1..{window_size}")
+        if self.subset_len.sum() != len(self.subset_flat):
+            raise DataError("subset lengths do not add up to the subset array")
+        if (self.ncells < 1).any() or not self.ncells.sum() == len(self.cell_keys) == len(self.cell_means):
+            raise DataError("cell counts do not add up to the cell arrays")
+        if n != self.output_grid.size:
+            raise DataError(f"{n} windows where its geometry gives {self.output_grid.size}")
+        if ((self.subset_flat < 0) | (self.subset_flat >= size)).any():
+            raise DataError(f"a subset index lies outside [0, {size})")
+        if len(self.level_counts) != size:
+            raise DataError(f"{len(self.level_counts)} level counts for {size} columns")
+        if (self.level_counts < 2).any():
+            raise DataError("a level count is below 2")
+        # cells per window, refused above 2**62 as fit_layer refuses them, so int64 bounds cannot overflow
+        cells = np.multiply.reduceat(
+            self.level_counts[self.subset_flat].astype(object), np.cumsum(self.subset_len) - self.subset_len
+        )
+        if (cells > 2**62).any():
+            raise DataError("a subset has more than 2**62 cells")
+        keys, window = self.cell_keys, np.repeat(np.arange(n), self.ncells)
+        if ((keys < 0) | (keys >= cells.astype(np.int64)[window])).any():
+            raise DataError("a cell key lies outside its subset's cell range")
+        if not ((np.diff(keys) > 0) | (np.diff(window) > 0)).all():
+            raise DataError("cell keys are not strictly ascending within a window")
+        means = np.concatenate([self.cell_means, self.fallback])
+        if not ((means >= 0.0) & (means <= 1.0)).all():
+            raise DataError("a cell mean or fallback is not a finite value in [0, 1]")
+
     @property
     def output_grid(self) -> GridShape:
         return output_grid(self.input_grid, self.spec)
@@ -115,7 +154,7 @@ class FittedConvLayer:
         for r in range(1, int(self.subset_len.max())):
             at = np.flatnonzero(rank == r)
             radix[at] = radix[at - 1] * sizes[at - 1]
-        space = np.multiply.reduceat(sizes, starts)  # at most 2**62, as fit and load enforce
+        space = np.multiply.reduceat(sizes, starts)  # at most 2**62, as __post_init__ enforces
         # capped per window first, so the sum cannot overflow
         if (space > TABLE_LIMIT).any() or space.sum() > TABLE_LIMIT:
             return None

@@ -4,6 +4,10 @@ The bundle is a single sectioned binary file: a text manifest (UTF-8
 key=value lines) plus little-endian float64/int64 arrays, each section
 carrying its own CRC-32. Loading verifies every checksum and refuses files
 written by a newer format version. Round trips are bit-exact.
+
+The loader only parses. `FittedConvLayer`, `Discretizer` and `ModelBundle`
+check their own contents when built, whether fitted, loaded or made by a
+caller; the loader reports what they refuse as `BundleFormatError`.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ class ImageSet:
             raise DataError(
                 f"intensities shape {x.shape} does not match grid {self.grid.rows}x{self.grid.cols}"
             )
-        if x.size and (x.min() < 0.0 or x.max() > 1.0):
+        if not ((x >= 0.0) & (x <= 1.0)).all():
             raise DataError("intensities must lie in [0, 1]")
         labels = _check_response(self.labels, x.shape[0])
         if len(self.sources) != x.shape[0]:
@@ -80,7 +84,7 @@ def _read_image_matrix(path: Path) -> np.ndarray:
             mat = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
         except (ValueError, OSError) as exc:
             raise DataError(f"{path}: unreadable CSV image: {exc}") from exc
-        if mat.min() < 0 or mat.max() > 255:
+        if not ((mat >= 0) & (mat <= 255)).all():
             raise DataError(f"{path}: CSV image values must lie in [0, 255]")
         return mat
     raise DataError(f"{path}: unsupported image format (want .pgm or .csv)")
@@ -176,8 +180,8 @@ def augment_images(
     by class (ascending label), each tagged `source#augN`. Gaussian pixel
     noise is clamped back into [0, 1]; sd 0 duplicates exactly.
     """
-    if noise_sd < 0:
-        raise DataError(f"noise sd must be >= 0, got {noise_sd}")
+    if not 0.0 <= noise_sd < np.inf:
+        raise DataError(f"noise sd must be a finite number >= 0, got {noise_sd}")
     rng = np.random.default_rng(seed)
     new_rows: list[np.ndarray] = []
     new_labels: list[int] = []
@@ -272,7 +276,7 @@ def read_dataset_csv(path: str | Path) -> RealDataset:
 
 @dataclass(frozen=True, eq=False)
 class ModelBundle:
-    """Everything needed to replay a fitted pipeline on new data."""
+    """Everything needed to replay a fitted pipeline on new data; its parts must agree."""
 
     input_grid: GridShape | None
     discretizer: Discretizer | None
@@ -281,6 +285,32 @@ class ModelBundle:
     arch: MlpArchitecture
     weights: tuple[np.ndarray, ...]
     hyper: TrainingHyper
+
+    def __post_init__(self) -> None:
+        layers = self.stack.layers if self.stack is not None else ()
+        if [w.shape for w in self.weights] != self.arch.layer_shapes():
+            raise DataError(f"weight shapes differ from the architecture's {self.arch.layer_shapes()}")
+        if not all(np.isfinite(w).all() for w in self.weights):
+            raise DataError("a classifier weight is not finite")
+        if self.features_mode not in FEATURE_MODES:
+            raise DataError(f"features mode {self.features_mode!r} is not one of {FEATURE_MODES}")
+        if layers:
+            if self.discretizer is None:
+                raise DataError("bundle has window layers but no discretizer")
+            if self.input_grid not in (None, layers[0].input_grid):
+                raise DataError(f"input grid {self.input_grid.rows}x{self.input_grid.cols} differs from layer 0's")
+            widths = [layer.n_windows for layer in layers]
+            width = sum(widths) if self.features_mode == "concat" else widths[-1]
+            if self.arch.input_width != width:
+                raise DataError(f"classifier input width {self.arch.input_width}, stack output {width}")
+            stages = [self.discretizer, *self.stack.rediscretizers]
+            if len(stages) != len(layers):
+                raise DataError(f"{len(layers)} window layers with {len(stages) - 1} re-binarizers")
+            # the discretizer feeding layer k has one threshold per column of its input
+            columns = [layers[0].input_grid.size, *widths]
+            for k, stage in enumerate(stages):
+                if stage.width != columns[k]:
+                    raise DataError(f"the discretizer before layer {k} has {stage.width} thresholds")
 
 
 class _Writer:
@@ -420,46 +450,6 @@ def _get_discretizer(
     return Discretizer(man[method], _get_array(sections, thresholds), None if value == "none" else float(value))
 
 
-def _check_layer(layer: FittedConvLayer, where: str) -> None:
-    """Refuse layer arrays that `transform` could not serve."""
-    for name in LAYER_ARRAYS:
-        arr = getattr(layer, name)
-        kind = "f" if name in ("cell_means", "fallback", "iscore", "auc") else "i"
-        if arr.ndim != 1 or arr.dtype.kind != kind:
-            raise BundleFormatError(f"{where}: array {name} is not 1-d of kind {kind!r}")
-    n, size, window_size = layer.n_windows, layer.input_grid.size, layer.spec.window**2
-    if {len(layer.ncells), len(layer.fallback), len(layer.iscore), len(layer.auc)} != {n}:
-        raise BundleFormatError(f"{where}: per-window arrays differ in length")
-    if ((layer.subset_len < 1) | (layer.subset_len > window_size)).any():
-        raise BundleFormatError(f"{where}: a subset length lies outside 1..{window_size}")
-    if layer.subset_len.sum() != len(layer.subset_flat):
-        raise BundleFormatError(f"{where}: subset lengths do not add up to the subset array")
-    if (layer.ncells < 1).any() or not layer.ncells.sum() == len(layer.cell_keys) == len(layer.cell_means):
-        raise BundleFormatError(f"{where}: cell counts do not add up to the cell arrays")
-    if n != layer.output_grid.size:
-        raise BundleFormatError(f"{where}: {n} windows where its geometry gives {layer.output_grid.size}")
-    if ((layer.subset_flat < 0) | (layer.subset_flat >= size)).any():
-        raise BundleFormatError(f"{where}: a subset index lies outside [0, {size})")
-    if len(layer.level_counts) != size:
-        raise BundleFormatError(f"{where}: {len(layer.level_counts)} level counts for {size} columns")
-    if (layer.level_counts < 2).any():
-        raise BundleFormatError(f"{where}: a level count is below 2")
-    # cells per window, refused above 2**62 as fit_layer refuses them, so int64 bounds cannot overflow
-    cells = np.multiply.reduceat(
-        layer.level_counts[layer.subset_flat].astype(object), np.cumsum(layer.subset_len) - layer.subset_len
-    )
-    if (cells > 2**62).any():
-        raise BundleFormatError(f"{where}: a subset has more than 2**62 cells")
-    keys, window = layer.cell_keys, np.repeat(np.arange(n), layer.ncells)
-    if ((keys < 0) | (keys >= cells.astype(np.int64)[window])).any():
-        raise BundleFormatError(f"{where}: a cell key lies outside its subset's cell range")
-    if not ((np.diff(keys) > 0) | (np.diff(window) > 0)).all():
-        raise BundleFormatError(f"{where}: cell keys are not strictly ascending within a window")
-    means = np.concatenate([layer.cell_means, layer.fallback])
-    if not ((means >= 0.0) & (means <= 1.0)).all():
-        raise BundleFormatError(f"{where}: a cell mean or fallback is not a finite value in [0, 1]")
-
-
 def load_bundle(path: str | Path) -> ModelBundle:
     path = Path(path)
     sections = _read_sections(path)
@@ -507,8 +497,10 @@ def load_bundle(path: str | Path) -> ModelBundle:
             )
             in_grid = GridShape(int(man[f"layer{k}_in_rows"]), int(man[f"layer{k}_in_cols"]))
             arrays = {name: _get_array(sections, f"layer{k}/{name}") for name in LAYER_ARRAYS}
-            layers.append(FittedConvLayer(input_grid=in_grid, spec=spec, **arrays))
-            _check_layer(layers[-1], f"{path}: layer {k}")
+            try:
+                layers.append(FittedConvLayer(input_grid=in_grid, spec=spec, **arrays))
+            except DataError as exc:
+                raise BundleFormatError(f"{path}: layer {k}: {exc}") from exc
         rediscs = [
             _get_discretizer(sections, man, f"redisc{k}_method", f"redisc{k}_param", f"redisc{k}/thresholds")
             for k in range(max(0, n_layers - 1))
@@ -521,35 +513,20 @@ def load_bundle(path: str | Path) -> ModelBundle:
         weights = tuple(
             _get_array(sections, f"clf/w{i}") for i in range(int(man["n_weights"]))
         )
-        if [w.shape for w in weights] != arch.layer_shapes():
-            raise BundleFormatError(f"{path}: weight shapes differ from the architecture's {arch.layer_shapes()}")
         features_mode = man.get("features_mode", "last")
-        if features_mode not in FEATURE_MODES:
-            raise BundleFormatError(f"{path}: features mode {features_mode!r} is not one of {FEATURE_MODES}")
-        if layers:
-            if disc is None:
-                raise BundleFormatError(f"{path}: bundle has window layers but no discretizer")
-            if grid is not None and grid != layers[0].input_grid:
-                raise BundleFormatError(f"{path}: input grid {grid.rows}x{grid.cols} differs from layer 0's")
-            widths = [layer.n_windows for layer in layers]
-            width = sum(widths) if features_mode == "concat" else widths[-1]
-            if arch.input_width != width:
-                raise BundleFormatError(f"{path}: classifier input width {arch.input_width}, stack output {width}")
-            # the discretizer feeding layer k has one threshold per column of its input
-            columns = [layers[0].input_grid.size, *widths]
-            for k, stage in enumerate([disc, *rediscs]):
-                if stage.width != columns[k]:
-                    raise BundleFormatError(f"{path}: the discretizer before layer {k} has {stage.width} thresholds")
     except KeyError as exc:
         raise BundleFormatError(f"{path}: manifest is missing {exc}") from exc
     except (ValueError, ConfigError) as exc:
         raise BundleFormatError(f"{path}: malformed manifest value: {exc}") from exc
-    return ModelBundle(
-        input_grid=grid,
-        discretizer=disc,
-        stack=stack,
-        features_mode=features_mode,
-        arch=arch,
-        weights=weights,
-        hyper=hyper,
-    )
+    try:
+        return ModelBundle(
+            input_grid=grid,
+            discretizer=disc,
+            stack=stack,
+            features_mode=features_mode,
+            arch=arch,
+            weights=weights,
+            hyper=hyper,
+        )
+    except DataError as exc:
+        raise BundleFormatError(f"{path}: {exc}") from exc

@@ -38,6 +38,10 @@ class Discretizer:
         thr = np.asarray(self.thresholds, dtype=np.float64)
         if thr.ndim != 1:
             raise ConfigError("thresholds must be a 1-d array")
+        if not np.isfinite(thr).all():
+            raise ConfigError("discretizer thresholds must be finite")
+        if self.param is not None and not math.isfinite(self.param):
+            raise ConfigError(f"discretizer parameter must be finite, got {self.param}")
         object.__setattr__(self, "thresholds", _freeze(thr))
 
     @property

@@ -23,6 +23,8 @@ def _checked(y_true, scores):
         raise UndefinedMetricError(f"labels {y.shape} and scores {s.shape} differ in length")
     if y.size == 0 or not _is_binary(y):
         raise UndefinedMetricError("labels must be a non-empty 0/1 vector")
+    if not np.isfinite(s).all():
+        raise UndefinedMetricError("scores must be finite")
     return y.astype(np.int64, copy=False), s
 
 

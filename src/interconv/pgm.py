@@ -74,7 +74,7 @@ def write_pgm(path: str | Path, values: np.ndarray) -> None:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2:
         raise DataError(f"PGM export expects a 2-d matrix, got shape {arr.shape}")
-    if arr.min() < 0.0 or arr.max() > 1.0:
+    if not ((arr >= 0.0) & (arr <= 1.0)).all():
         raise DataError("PGM export expects values in [0, 1]")
     pixels = np.floor(arr * 255.0 + 0.5).astype(np.uint8)
     header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii")

@@ -139,8 +139,6 @@ def _input_rows(bundle: ModelBundle, features: np.ndarray) -> RealDataset | Disc
     dataset = RealDataset(features, np.zeros(np.shape(features)[:1], dtype=np.int64))
     if bundle.stack is None:
         return dataset
-    if bundle.discretizer is None:
-        raise DataError("bundle has window layers but no discretizer")
     return apply_discretizer(bundle.discretizer, dataset)
 
 

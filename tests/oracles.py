@@ -6,8 +6,8 @@ oracle agree, both would have to be wrong in the same way to hide a bug.
 The exceptions are `reference_window_feature`, which composes the package's
 own per-window reference functions to pin the lockstep layer fit, and
 `preset_architecture`, which reads the package's presets and geometry.
-`with_manifest` rewrites a saved bundle's manifest, parsing the file
-format by hand.
+`with_manifest` and `with_arrays` rewrite a saved bundle's manifest and
+array sections, parsing the file format by hand.
 """
 
 import itertools
@@ -238,23 +238,54 @@ def preset_architecture(name, grid=GridShape(128, 128)):
     )
 
 
-def with_manifest(path, **values):
-    """Set manifest keys of the bundle file at `path`, keeping every CRC-32
-    valid. The format is walked by hand: 8 magic bytes, version and section
-    count, then per section its name, kind, length, payload and checksum."""
+def _rewrite_sections(path, edit):
+    """Pass every section of the bundle file at `path` through
+    `edit(name, kind, payload) -> (kind, payload)`, keeping every CRC-32
+    valid, and return the section names. The format is walked by hand: 8
+    magic bytes, version and section count, then per section its name,
+    kind, length, payload and checksum."""
     data = path.read_bytes()
-    parts, pos = [data[:16]], 16
+    parts, pos, names = [data[:16]], 16, []
     while pos < len(data):
         (name_len,) = struct.unpack_from("<H", data, pos)
         name = data[pos + 2 : pos + 2 + name_len]
         kind, size = struct.unpack_from("<BQ", data, pos + 2 + name_len)
         start = pos + 11 + name_len
-        payload = data[start : start + size]
-        if name == b"manifest":
-            manifest = dict(line.split("=", 1) for line in payload.decode("utf-8").splitlines())
-            manifest.update(values)
-            payload = "".join(f"{k}={v}\n" for k, v in manifest.items()).encode("utf-8")
+        kind, payload = edit(name.decode("utf-8"), kind, data[start : start + size])
         parts.append(struct.pack("<H", name_len) + name + struct.pack("<BQ", kind, len(payload)))
         parts.append(payload + struct.pack("<I", zlib.crc32(payload)))
+        names.append(name.decode("utf-8"))
         pos = start + size + 4
     path.write_bytes(b"".join(parts))
+    return names
+
+
+def with_manifest(path, **values):
+    """Set manifest keys of the bundle file at `path`, keeping every CRC-32
+    valid; a value of None drops its key."""
+
+    def edit(name, kind, payload):
+        if name != "manifest":
+            return kind, payload
+        manifest = dict(line.split("=", 1) for line in payload.decode("utf-8").splitlines())
+        manifest.update(values)
+        return kind, "".join(f"{k}={v}\n" for k, v in manifest.items() if v is not None).encode("utf-8")
+
+    _rewrite_sections(path, edit)
+
+
+def with_arrays(path, **sections):
+    """Replace the named array sections of the bundle file at `path` (for
+    example `layer0/cell_keys`), keeping every CRC-32 valid. Each array is
+    written as the format stores one: kind 1 (float64) or 2 (int64), then
+    ndim, the dims and the little-endian values."""
+
+    def edit(name, kind, payload):
+        if name not in sections:
+            return kind, payload
+        arr = np.asarray(sections[name])
+        kind, dtype = (1, "<f8") if arr.dtype.kind == "f" else (2, "<i8")
+        return kind, struct.pack(f"<B{arr.ndim}Q", arr.ndim, *arr.shape) + arr.astype(dtype).tobytes()
+
+    missing = set(sections) - set(_rewrite_sections(path, edit))
+    assert not missing, f"bundle has no sections {sorted(missing)}"

@@ -6,9 +6,9 @@ import dataclasses
 
 import numpy as np
 import pytest
-from oracles import with_manifest
+from oracles import with_arrays, with_manifest
 
-from interconv import GridShape, ParityModelSpec, PipelineConfig, load_bundle, read_pgm, save_bundle, write_pgm
+from interconv import DataError, GridShape, ParityModelSpec, PipelineConfig, load_bundle, read_pgm, save_bundle, write_pgm
 from interconv.cli import build_parser, build_pipeline_config, build_synth_spec, main, resolve_config
 
 
@@ -333,19 +333,30 @@ def test_corrupt_bundle_exits_3(tmp_path, synth_dir, fit_dir, capsys):
     assert "checksum" in err or "corrupt" in err
 
 
-def test_unservable_bundle_exits_3(tmp_path, synth_dir, fit_dir, capsys):
-    bundle = load_bundle(fit_dir / "model.bundle")
-    layer = bundle.stack.layers[0]
-    bad_layer = dataclasses.replace(layer, subset_flat=layer.subset_flat + layer.input_grid.size)
-    bad = tmp_path / "bad.bundle"
-    save_bundle(dataclasses.replace(bundle, stack=dataclasses.replace(bundle.stack, layers=(bad_layer,))), bad)
-    code, _, err = run(
+def predict_exit(capsys, tmp_path, synth_dir, bundle):
+    return run(
         capsys,
         "predict",
-        "--bundle", str(bad),
+        "--bundle", str(bundle),
         "--data", str(synth_dir / "test.csv"),
         "--out", str(tmp_path / "p"),
     )
+
+
+def copied_bundle(tmp_path, fit_dir):
+    bad = tmp_path / "bad.bundle"
+    bad.write_bytes((fit_dir / "model.bundle").read_bytes())
+    return bad
+
+
+def test_unservable_bundle_exits_3(tmp_path, synth_dir, fit_dir, capsys):
+    layer = load_bundle(fit_dir / "model.bundle").stack.layers[0]
+    subset_flat = layer.subset_flat + layer.input_grid.size
+    with pytest.raises(DataError, match="subset index"):
+        dataclasses.replace(layer, subset_flat=subset_flat)
+    bad = copied_bundle(tmp_path, fit_dir)
+    with_arrays(bad, **{"layer0/subset_flat": subset_flat})
+    code, _, err = predict_exit(capsys, tmp_path, synth_dir, bad)
     assert code == 3
     assert "subset index" in err
     assert not (tmp_path / "p").exists()
@@ -353,15 +364,11 @@ def test_unservable_bundle_exits_3(tmp_path, synth_dir, fit_dir, capsys):
 
 def test_weights_disagreeing_with_the_architecture_exit_3(tmp_path, synth_dir, fit_dir, capsys):
     bundle = load_bundle(fit_dir / "model.bundle")
-    bad = tmp_path / "bad.bundle"
-    save_bundle(dataclasses.replace(bundle, weights=(bundle.weights[0][:-1],)), bad)
-    code, _, err = run(
-        capsys,
-        "predict",
-        "--bundle", str(bad),
-        "--data", str(synth_dir / "test.csv"),
-        "--out", str(tmp_path / "p"),
-    )
+    with pytest.raises(DataError, match="weight shapes"):
+        dataclasses.replace(bundle, weights=(bundle.weights[0][:-1],))
+    bad = copied_bundle(tmp_path, fit_dir)
+    with_arrays(bad, **{"clf/w0": bundle.weights[0][:-1]})
+    code, _, err = predict_exit(capsys, tmp_path, synth_dir, bad)
     assert code == 3
     assert "weight shapes" in err
     assert "Traceback" not in err
@@ -370,32 +377,32 @@ def test_weights_disagreeing_with_the_architecture_exit_3(tmp_path, synth_dir, f
 
 def test_input_grid_disagreeing_with_the_first_layer_exit_3(tmp_path, synth_dir, fit_dir, capsys):
     bundle = load_bundle(fit_dir / "model.bundle")
-    bad = tmp_path / "bad.bundle"
-    save_bundle(dataclasses.replace(bundle, input_grid=GridShape(7, 7)), bad)
-    code, _, err = run(
-        capsys,
-        "predict",
-        "--bundle", str(bad),
-        "--data", str(synth_dir / "test.csv"),
-        "--out", str(tmp_path / "p"),
-    )
+    with pytest.raises(DataError, match="input grid 7x7 differs from layer 0's"):
+        dataclasses.replace(bundle, input_grid=GridShape(7, 7))
+    bad = copied_bundle(tmp_path, fit_dir)
+    with_manifest(bad, input_rows="7", input_cols="7")
+    code, _, err = predict_exit(capsys, tmp_path, synth_dir, bad)
     assert code == 3
     assert "input grid 7x7 differs from layer 0's" in err
     assert "Traceback" not in err
     assert not (tmp_path / "p").exists()
 
 
+def test_nan_discretizer_thresholds_exit_3(tmp_path, synth_dir, fit_dir, capsys):
+    bad = copied_bundle(tmp_path, fit_dir)
+    width = load_bundle(fit_dir / "model.bundle").discretizer.width
+    with_arrays(bad, **{"disc/thresholds": np.full(width, np.nan)})
+    code, _, err = predict_exit(capsys, tmp_path, synth_dir, bad)
+    assert code == 3
+    assert "discretizer thresholds must be finite" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "p").exists()
+
+
 def test_negative_layer_count_exits_3(tmp_path, synth_dir, fit_dir, capsys):
-    bad = tmp_path / "bad.bundle"
-    bad.write_bytes((fit_dir / "model.bundle").read_bytes())
+    bad = copied_bundle(tmp_path, fit_dir)
     with_manifest(bad, n_layers="-1")
-    code, _, err = run(
-        capsys,
-        "predict",
-        "--bundle", str(bad),
-        "--data", str(synth_dir / "test.csv"),
-        "--out", str(tmp_path / "p"),
-    )
+    code, _, err = predict_exit(capsys, tmp_path, synth_dir, bad)
     assert code == 3
     assert "layer count -1 is negative" in err
     assert "Traceback" not in err

@@ -2,15 +2,17 @@
 
 import dataclasses
 import re
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
-from oracles import with_manifest
+from oracles import with_arrays, with_manifest
 
 from interconv import (
     BundleFormatError,
     BundleIntegrityError,
     BundleVersionError,
+    ConfigError,
     DataError,
     GridShape,
     ImageSet,
@@ -71,6 +73,15 @@ def test_load_images_accepts_csv_images(tmp_path):
     manifest.write_text("a.csv,0\nb.csv,1\n")
     images = load_images(manifest)
     assert images.intensities[0].tolist() == [0.0, 128 / 255.0, 1.0, 64 / 255.0]
+
+
+@pytest.mark.parametrize("value", ["nan", "256", "-1"])
+def test_csv_image_values_outside_0_255_are_refused(tmp_path, value):
+    (tmp_path / "a.csv").write_text(f"0,{value}\n255,64\n")
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("a.csv,0\n")
+    with pytest.raises(DataError, match=re.escape("a.csv: CSV image values must lie in [0, 255]")):
+        load_images(manifest)
 
 
 @pytest.mark.parametrize(
@@ -150,6 +161,13 @@ def test_augment_rejects_shrinking(tmp_path):
     images = load_images(make_corpus(tmp_path, n0=5, n1=2))
     with pytest.raises(DataError):
         augment_images(images, target_per_class=4)
+
+
+@pytest.mark.parametrize("noise_sd", [-0.1, np.nan, np.inf])
+def test_augment_rejects_a_negative_or_non_finite_noise_sd(tmp_path, noise_sd):
+    images = load_images(make_corpus(tmp_path, n0=2, n1=1))
+    with pytest.raises(DataError, match="noise sd must be a finite number >= 0"):
+        augment_images(images, target_per_class=3, noise_sd=noise_sd)
 
 
 def test_imageset_to_real_dataset(tmp_path):
@@ -286,13 +304,6 @@ def test_parameterised_rediscretizer_fits_and_round_trips(tmp_path, spec, method
     assert a.tobytes() == predict_bundle(loaded, data.features).tobytes()
 
 
-def with_first_layer(bundle, **arrays):
-    """`bundle` with some arrays of its first window layer replaced."""
-    first = dataclasses.replace(bundle.stack.layers[0], **arrays)
-    stack = dataclasses.replace(bundle.stack, layers=(first, *bundle.stack.layers[1:]))
-    return dataclasses.replace(bundle, stack=stack)
-
-
 def first_replaced(arr, value):
     return np.concatenate([[value], arr[1:]]).astype(arr.dtype)
 
@@ -310,8 +321,9 @@ def reversed_first_window(layer, arr):
     return np.concatenate([arr[:n][::-1], arr[n:]])
 
 
-# each case leaves every checksum valid but the layer unservable: the
-# replacement arrays of layer 0, and the complaint expected at load
+# each case makes layer 0 unservable: its replacement arrays, and the
+# complaint expected both when the layer is built and when the same arrays
+# are written over a saved bundle, every checksum kept valid
 BAD_LAYERS = {
     "subset index at the grid size": (
         lambda la: {"subset_flat": first_replaced(la.subset_flat, la.input_grid.size)},
@@ -408,40 +420,69 @@ BAD_LAYERS = {
 
 
 @pytest.mark.parametrize("case", sorted(BAD_LAYERS))
+def test_unservable_layer_is_refused_when_built(case):
+    bundle, _ = fitted_bundle()
+    arrays, complaint = BAD_LAYERS[case]
+    layer = bundle.stack.layers[0]
+    with pytest.raises(DataError, match=re.escape(complaint)):
+        dataclasses.replace(layer, **arrays(layer))
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LAYERS))
 def test_unservable_layer_is_refused_at_load(tmp_path, case):
     bundle, _ = fitted_bundle()
     arrays, complaint = BAD_LAYERS[case]
-    bad = with_first_layer(bundle, **arrays(bundle.stack.layers[0]))
     path = tmp_path / "model.bundle"
-    save_bundle(bad, path)
-    with pytest.raises(BundleFormatError, match="layer 0: .*" + re.escape(complaint)):
+    save_bundle(bundle, path)
+    with_arrays(path, **{f"layer0/{name}": arr for name, arr in arrays(bundle.stack.layers[0]).items()})
+    with pytest.raises(BundleFormatError, match=re.escape(f"{path}: layer 0: ") + ".*" + re.escape(complaint)):
         load_bundle(path)
 
 
+def nan_at_first(arr):
+    return first_replaced(arr.ravel(), np.nan).reshape(arr.shape)
+
+
+class BadBundle(NamedTuple):
+    build: Callable | None  # the bundle built in memory (None: the manifest alone can say it)
+    manifest: dict  # manifest keys written over a saved bundle; None drops a key
+    sections: Callable  # array sections written over a saved bundle
+    complaint: str  # expected when built and at load
+    error: type = DataError  # raised when built
+
+
 # each case keeps every layer servable on its own but makes the parts of the
-# bundle disagree: the replaced bundle, and the complaint expected at load
+# bundle disagree, or gives it numbers it cannot serve
 BAD_BUNDLES = {
-    "first weight matrix one row short": (
+    "first weight matrix one row short": BadBundle(
         lambda b: dataclasses.replace(b, weights=(b.weights[0][:-1], *b.weights[1:])),
+        {},
+        lambda b: {"clf/w0": b.weights[0][:-1]},
         "weight shapes differ from the architecture's [(41, 5), (5, 2)]",
     ),
-    "classifier narrower than the stack": (
+    "classifier narrower than the stack": BadBundle(
         lambda b: dataclasses.replace(
             b, arch=dataclasses.replace(b.arch, input_width=40), weights=(b.weights[0][:-1], *b.weights[1:])
         ),
+        {"arch_input": "40"},
+        lambda b: {"clf/w0": b.weights[0][:-1]},
         "classifier input width 40, stack output 41",
     ),
-    "concat classifier on the last layer's features": (
+    "concat classifier on the last layer's features": BadBundle(
         lambda b: dataclasses.replace(b, features_mode="last"),
+        {"features_mode": "last"},
+        lambda b: {},
         "classifier input width 41, stack output 16",
     ),
-    "discretizer one threshold short": (
+    "discretizer one threshold short": BadBundle(
         lambda b: dataclasses.replace(
             b, discretizer=dataclasses.replace(b.discretizer, thresholds=b.discretizer.thresholds[:-1])
         ),
+        {},
+        lambda b: {"disc/thresholds": b.discretizer.thresholds[:-1]},
         "the discretizer before layer 0 has 35 thresholds",
     ),
-    "rediscretizer one threshold short": (
+    "rediscretizer one threshold short": BadBundle(
         lambda b: dataclasses.replace(
             b,
             stack=dataclasses.replace(
@@ -451,36 +492,100 @@ BAD_BUNDLES = {
                 ),
             ),
         ),
+        {},
+        lambda b: {"redisc0/thresholds": b.stack.rediscretizers[0].thresholds[:-1]},
         "the discretizer before layer 1 has 24 thresholds",
     ),
-    "input grid other than the first layer's": (
+    "input grid other than the first layer's": BadBundle(
         lambda b: dataclasses.replace(b, input_grid=GridShape(7, 7)),
+        {"input_rows": "7", "input_cols": "7"},
+        lambda b: {},
         "input grid 7x7 differs from layer 0's",
     ),
-    "unknown features mode": (
+    "unknown features mode": BadBundle(
         lambda b: dataclasses.replace(b, features_mode="bogus"),
+        {"features_mode": "bogus"},
+        lambda b: {},
         "features mode 'bogus' is not one of ('last', 'concat')",
     ),
-    "window layers without a discretizer": (
+    "window layers without a discretizer": BadBundle(
         lambda b: dataclasses.replace(b, discretizer=None),
+        {"discretizer": None, "discretizer_param": None},
+        lambda b: {},
         "bundle has window layers but no discretizer",
     ),
-    "negative layer count": (lambda b: b, "layer count -1 is negative"),
+    "negative layer count": BadBundle(None, {"n_layers": "-1"}, lambda b: {}, "layer count -1 is negative"),
+    "NaN discretizer thresholds": BadBundle(
+        lambda b: dataclasses.replace(
+            b, discretizer=dataclasses.replace(b.discretizer, thresholds=np.full(36, np.nan))
+        ),
+        {},
+        lambda b: {"disc/thresholds": np.full(36, np.nan)},
+        "discretizer thresholds must be finite",
+        ConfigError,
+    ),
+    "infinite rediscretizer threshold": BadBundle(
+        lambda b: dataclasses.replace(
+            b,
+            stack=dataclasses.replace(
+                b.stack,
+                rediscretizers=tuple(
+                    dataclasses.replace(d, thresholds=first_replaced(d.thresholds, np.inf))
+                    for d in b.stack.rediscretizers
+                ),
+            ),
+        ),
+        {},
+        lambda b: {"redisc0/thresholds": first_replaced(b.stack.rediscretizers[0].thresholds, np.inf)},
+        "discretizer thresholds must be finite",
+        ConfigError,
+    ),
+    "NaN discretizer parameter": BadBundle(
+        lambda b: dataclasses.replace(b, discretizer=dataclasses.replace(b.discretizer, param=np.nan)),
+        {"discretizer_param": "nan"},
+        lambda b: {},
+        "discretizer parameter must be finite, got nan",
+        ConfigError,
+    ),
+    "NaN classifier weight": BadBundle(
+        lambda b: dataclasses.replace(b, weights=(nan_at_first(b.weights[0]), *b.weights[1:])),
+        {},
+        lambda b: {"clf/w0": nan_at_first(b.weights[0])},
+        "a classifier weight is not finite",
+    ),
+    "infinite classifier weight": BadBundle(
+        lambda b: dataclasses.replace(b, weights=(b.weights[0], np.full_like(b.weights[1], -np.inf))),
+        {},
+        lambda b: {"clf/w1": np.full_like(b.weights[1], -np.inf)},
+        "a classifier weight is not finite",
+    ),
 }
-# manifest values no saved bundle carries, written over the saved file
-BAD_MANIFESTS = {"negative layer count": {"n_layers": "-1"}}
+
+
+@pytest.mark.parametrize("case", sorted(name for name, bad in BAD_BUNDLES.items() if bad.build is not None))
+def test_inconsistent_bundle_is_refused_when_built(case):
+    bundle, _ = fitted_bundle()
+    bad = BAD_BUNDLES[case]
+    with pytest.raises(bad.error, match=re.escape(bad.complaint)):
+        bad.build(bundle)
 
 
 @pytest.mark.parametrize("case", sorted(BAD_BUNDLES))
 def test_inconsistent_bundle_is_refused_at_load(tmp_path, case):
     bundle, _ = fitted_bundle()
-    replace, complaint = BAD_BUNDLES[case]
+    bad = BAD_BUNDLES[case]
     path = tmp_path / "model.bundle"
-    save_bundle(replace(bundle), path)
-    if case in BAD_MANIFESTS:
-        with_manifest(path, **BAD_MANIFESTS[case])
-    with pytest.raises(BundleFormatError, match=re.escape(complaint)):
+    save_bundle(bundle, path)
+    with_manifest(path, **bad.manifest)
+    with_arrays(path, **bad.sections(bundle))
+    with pytest.raises(BundleFormatError, match=re.escape(f"{path}: ") + ".*" + re.escape(bad.complaint)):
         load_bundle(path)
+
+
+def test_bundle_needs_one_rebinarizer_between_each_pair_of_layers():
+    bundle, _ = fitted_bundle()
+    with pytest.raises(DataError, match=re.escape("2 window layers with 0 re-binarizers")):
+        dataclasses.replace(bundle, stack=dataclasses.replace(bundle.stack, rediscretizers=()))
 
 
 def test_corrupted_payload_is_detected(tmp_path):
@@ -536,4 +641,11 @@ def test_imageset_validation():
             labels=np.array([0]),
             sources=("a",),
             grid=GridShape(2, 2),
+        )
+    with pytest.raises(DataError, match=re.escape("intensities must lie in [0, 1]")):
+        ImageSet(
+            intensities=np.array([[np.nan, 0.5]]),
+            labels=np.array([1]),
+            sources=("a",),
+            grid=GridShape(1, 2),
         )

@@ -128,6 +128,17 @@ def test_auc_requires_both_classes():
         auc([1, 1, 1], [0.1, 0.5, 0.9])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "metric",
+    [auc, roc_curve, lambda y, s: sensitivity(y, s, 0.5), lambda y, s: specificity(y, s, 0.5)],
+    ids=["auc", "roc_curve", "sensitivity", "specificity"],
+)
+def test_metrics_refuse_non_finite_scores(metric, bad):
+    with pytest.raises(UndefinedMetricError, match="scores must be finite"):
+        metric([0, 1, 0, 1], [bad, 0.9, 0.2, 0.8])
+
+
 def test_curve_matches_pointwise_metrics(rng):
     y = rng.integers(0, 2, size=50)
     y[:2] = [0, 1]

@@ -30,6 +30,9 @@ def test_write_validates_input(tmp_path):
         write_pgm(tmp_path / "b.pgm", np.array([[1.1]]))
     with pytest.raises(DataError):
         write_pgm(tmp_path / "c.pgm", np.array([[-0.1]]))
+    with pytest.raises(DataError):
+        write_pgm(tmp_path / "d.pgm", np.array([[np.nan, 0.5]]))
+    assert not (tmp_path / "d.pgm").exists()
 
 
 def test_p2_ascii_with_comments(tmp_path):
