@@ -6,6 +6,13 @@ subset inside the window, and the engineered feature value of a row is the
 in cells never seen during fitting fall back to the training grand mean, so
 transformed values always stay inside [0, 1].
 
+Fitting runs backward dropping in lockstep over chunks of windows. The
+first stage groups the training rows into each window's occupied cells;
+every later stage derives the cells of each one-smaller candidate from the
+cells of the subset picked one stage before, by removing one digit of their
+mixed-radix keys and adding the counts of the cells that meet, so only the
+first stage reads rows.
+
 Serving reads a dense lookup table built from a layer's flat arrays: window
 w owns the slice [offset_w, offset_w + space_w), space_w being the product
 of its subset's level counts, holding its cell means at their mixed-radix
@@ -26,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import DiscreteDataset, GridShape, RealDataset, WindowSpec, enumerate_windows, output_grid
+from .core import DiscreteDataset, GridShape, RealDataset, WindowSpec, _freeze, output_grid, window_pixels
 from .discretize import Discretizer, apply_discretizer, fit_discretizer
 from .errors import DataError
 from .iscore import MAX_SUBSET, encode_cells
@@ -75,7 +82,7 @@ class FittedConvLayer:
     auc: np.ndarray
 
     def __post_init__(self) -> None:
-        """Refuse arrays that `transform` could not serve."""
+        """Refuse arrays that `transform` could not serve, then freeze them."""
         for name in LAYER_ARRAYS:
             arr = getattr(self, name)
             kind = "f" if name in ("cell_means", "fallback", "iscore", "auc") else "i"
@@ -112,6 +119,9 @@ class FittedConvLayer:
         means = np.concatenate([self.cell_means, self.fallback])
         if not ((means >= 0.0) & (means <= 1.0)).all():
             raise DataError("a cell mean or fallback is not a finite value in [0, 1]")
+        # frozen, so no write can leave the checks or `lookup_table` stale
+        for name in LAYER_ARRAYS:
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
 
     @property
     def output_grid(self) -> GridShape:
@@ -164,9 +174,9 @@ class FittedConvLayer:
         return radix, starts, offset, table
 
 
-# Bound on rows x candidate subsets in one key gather: the lockstep fit
-# groups that many keys at once, and `transform` codes that many subset
-# elements at once, so this caps their working memory.
+# Bound on the elements of one working array: the lockstep fit groups at
+# most that many row keys or regroups that many padded cells at once, and
+# `transform` codes that many subset elements at once.
 GATHER_LIMIT = 2**17
 
 # Most entries (8 bytes each) a layer's dense lookup table may hold.
@@ -179,30 +189,82 @@ def _drop_one(size: int) -> np.ndarray:
     return j + (j >= np.arange(size)[:, np.newaxis])
 
 
+def _run_starts(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions where a run of equal values starts in the rows of the
+    row-sorted `keys`, and each row's number of runs."""
+    new = np.ones(keys.shape, dtype=bool)
+    np.not_equal(keys[:, 1:], keys[:, :-1], out=new[:, 1:])
+    return np.flatnonzero(new), new.sum(axis=1)
+
+
 def _group_cells(
-    xt: np.ndarray, y: np.ndarray, level_counts: np.ndarray, subsets: np.ndarray
+    data: DiscreteDataset, windows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Occupied cells of every row of `subsets` (column indices, keyed as
-    `encode_cells` keys them): ascending keys, row counts and positive
-    counts, flat in subset order, plus each subset's number of cells."""
-    sizes = level_counts[subsets]
+    """Occupied cells of every row of `windows` (column indices, keyed as
+    `encode_cells` keys them) over the rows of `data`: ascending keys, row
+    counts and positive counts, flat in window order, plus each window's
+    number of cells. The only step of a fit that reads rows."""
+    sizes = data.level_counts[windows]
     radix = np.ones_like(sizes)
     np.cumprod(sizes[:, :-1], axis=1, out=radix[:, 1:])
-    keys = xt[subsets[:, 0]]
-    for j in range(1, subsets.shape[1]):
-        keys += xt[subsets[:, j]] * radix[:, j, np.newaxis]
+    keys = np.take(data.features, windows[:, 0], axis=1)
+    for j in range(1, windows.shape[1]):
+        keys += np.take(data.features, windows[:, j], axis=1) * radix[:, j]
     # the response rides in the low bit (keys stay below 2**62), so one sort
     # groups the cells and carries each row's label along
     keys <<= 1
-    keys |= y
+    keys |= data.response[:, np.newaxis]
+    keys = np.ascontiguousarray(keys.T)  # one row per window
     keys.sort(axis=1)
     cells = keys >> 1
-    new = np.ones(keys.shape, dtype=bool)
-    np.not_equal(cells[:, 1:], cells[:, :-1], out=new[:, 1:])
-    starts = np.flatnonzero(new)
+    starts, lengths = _run_starts(cells)
     counts = np.diff(starts, append=keys.size)
     positives = np.add.reduceat(keys.ravel() & 1, starts)
-    return cells.ravel()[starts], counts, positives, new.sum(axis=1)
+    return cells.ravel()[starts], counts, positives, lengths
+
+
+def _drop_cells(
+    keys: np.ndarray, counts: np.ndarray, positives: np.ndarray, lengths: np.ndarray, sizes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Occupied cells of every subset one position shorter than the given
+    ones, as `_group_cells` returns them: by subset, then by the dropped
+    position in ascending order.
+
+    The given subsets' cells lie end to end in runs of `lengths`; `sizes`
+    holds the level counts of their positions (subsets x positions).
+    Dropping a position of place value r and level count s maps a key to
+    key % r + key // (r * s) * r, the key `encode_cells` gives the shorter
+    subset, and the cells that meet there add their counts, so no row is
+    read.
+    """
+    n_sub, size = sizes.shape
+    radix = np.ones_like(sizes)
+    np.cumprod(sizes[:, :-1], axis=1, out=radix[:, 1:])
+    # each subset's cells padded to one width by repeating its last cell; the
+    # padding reads its counts from a zero cell appended past the end, so it
+    # adds nothing to the run it joins
+    width = np.arange(lengths.max())
+    last = lengths[:, np.newaxis] - 1
+    at = np.minimum(width, last) + (np.cumsum(lengths) - lengths)[:, np.newaxis]
+    source = np.repeat(np.where(width > last, len(keys), at), size, axis=0)
+    # with q = key // r and key // (r * s) = q' (the next position's q, 0
+    # after the last), the shorter key is key - (q - q') * r
+    parent = keys[at][:, np.newaxis, :]
+    r = radix[:, :, np.newaxis]
+    q = parent // r
+    q[:, :-1] -= q[:, 1:]
+    child = (parent - q * r).reshape(n_sub * size, -1)
+    # one sort per shorter subset: the flat positions of its keys, ascending
+    order = child.argsort(axis=1) + np.arange(0, child.size, child.shape[1])[:, np.newaxis]
+    child = child.ravel()[order]
+    starts, child_lengths = _run_starts(child)
+    source = source.ravel()[order].ravel()
+    return (
+        child.ravel()[starts],
+        np.add.reduceat(np.append(counts, 0)[source], starts),
+        np.add.reduceat(np.append(positives, 0)[source], starts),
+        child_lengths,
+    )
 
 
 def _take(arrays: tuple[np.ndarray, ...], lengths: np.ndarray, picks: np.ndarray):
@@ -220,16 +282,14 @@ def _fit_chunk(
     chunk's per-window arrays of `LAYER_ARRAYS` (all but level_counts and
     fallback).
 
-    Each stage scores the candidate drops of every window together with the
-    float ops of `influence_score`; `argmax` over candidates in ascending
-    position order drops the lowest index on ties, and a stage replaces the
-    trajectory best only when it scores strictly higher.
+    Stage 0 groups the rows into each window's cells (`_group_cells`); each
+    later stage derives the cells of every candidate drop from the cells of
+    the subset picked one stage before (`_drop_cells`). Each stage scores
+    the candidate drops of every window together with the float ops of
+    `influence_score`; `argmax` over candidates in ascending position order
+    drops the lowest index on ties, and a stage replaces the trajectory best
+    only when it scores strictly higher.
     """
-    # only the chunk's own columns, transposed so each subset's keys are a row
-    cols, local = np.unique(windows, return_inverse=True)
-    xt = np.ascontiguousarray(data.features[:, cols].T)
-    y = data.response
-    level_counts = data.level_counts[cols]
     c, k = windows.shape
     rows = np.arange(c)
     best = np.full(c, -np.inf)
@@ -238,10 +298,10 @@ def _fit_chunk(
     best_subset = np.empty_like(windows)
     # per stage: the cells of each window's surviving subset
     cells, n_cells = [], []
-    cand = local.reshape(windows.shape)[:, np.newaxis, :]
+    cand = windows[:, np.newaxis, :]
+    keys, counts, positives, lengths = _group_cells(data, windows)
     while True:
         n_cand, size = cand.shape[1:]
-        keys, counts, positives, lengths = _group_cells(xt, y, level_counts, cand.reshape(-1, size))
         terms = counts.astype(np.float64) ** 2 * (positives / counts - ybar) ** 2
         raw = segment_sums(terms, lengths)
         scores = (raw / denom if denom > 0.0 else np.zeros_like(raw)).reshape(c, n_cand)
@@ -258,6 +318,7 @@ def _fit_chunk(
         if size == 1:
             break
         cand = subset[:, _drop_one(size)]
+        keys, counts, positives, lengths = _drop_cells(*stage_cells, stage_lengths, data.level_counts[subset])
 
     stacked = tuple(np.concatenate(a) for a in zip(*cells))
     (keys, counts, positives), lengths = _take(stacked, np.concatenate(n_cells), best_stage * c + rows)
@@ -265,7 +326,7 @@ def _fit_chunk(
     subset_len = k - best_stage
     return {
         "subset_len": subset_len,
-        "subset_flat": cols[best_subset[np.arange(k) < subset_len[:, np.newaxis]]],
+        "subset_flat": best_subset[np.arange(k) < subset_len[:, np.newaxis]],
         "ncells": lengths,
         "cell_keys": keys,
         "cell_means": means,
@@ -284,14 +345,17 @@ def fit_layer(
     """Fit every window position of `spec` over `grid` on training data.
 
     Every window has the same size k, so backward dropping runs in lockstep
-    over chunks of windows (`GATHER_LIMIT` rows x subsets per key gather).
-    Subsets, I-scores, cells and training AUCs are bitwise those of
-    `backward_drop`, `partition_stats` and `auc` run window by window.
+    over chunks of windows, sized so that no working array holds more than
+    `GATHER_LIMIT` elements: the first stage's keys (windows x rows) and the
+    later stages' padded cells (windows x candidates x at most min(rows,
+    cells per window)). Only the first stage reads rows. Subsets, I-scores,
+    cells and training AUCs are bitwise those of `backward_drop`,
+    `partition_stats` and `auc` run window by window.
     `workers` is accepted for compatibility and has no effect.
     """
     if data.width != grid.size:
         raise DataError(f"grid {grid.rows}x{grid.cols} needs {grid.size} columns, data has {data.width}")
-    windows = np.array(enumerate_windows(grid, spec), dtype=np.int64)
+    windows = window_pixels(grid, spec)
     k = windows.shape[1]
     if k > MAX_SUBSET:
         raise DataError(f"subset size {k} exceeds the limit of {MAX_SUBSET}")
@@ -306,7 +370,8 @@ def fit_layer(
     y = data.response.astype(np.float64)
     ybar = y.mean()
     denom = data.n * float(y.var())
-    chunk = max(1, GATHER_LIMIT // (data.n * max(k - 1, 1)))
+    widest = min(data.n, int(cells_per_window.max()))
+    chunk = max(1, GATHER_LIMIT // max(data.n, k * widest))
     chunks = [
         _fit_chunk(data, windows[lo : lo + chunk], ybar, denom) for lo in range(0, len(windows), chunk)
     ]

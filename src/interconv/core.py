@@ -69,6 +69,18 @@ def output_grid(grid: GridShape, spec: WindowSpec) -> GridShape:
     return GridShape(output_dim(grid.rows, spec), output_dim(grid.cols, spec))
 
 
+def window_pixels(grid: GridShape, spec: WindowSpec) -> np.ndarray:
+    """Flattened pixel indices of every window position (windows x pixels),
+    in the order `enumerate_windows` lists them."""
+    out = output_grid(grid, spec)
+    first = spec.start - 1  # 0-based corner of the first window
+    corner_rows = first + spec.stride * np.arange(out.rows, dtype=np.int64)
+    corner_cols = first + spec.stride * np.arange(out.cols, dtype=np.int64)
+    corners = corner_rows[:, np.newaxis] * grid.cols + corner_cols
+    offsets = np.arange(spec.window)[:, np.newaxis] * grid.cols + np.arange(spec.window)
+    return corners.reshape(-1, 1) + offsets.reshape(1, -1)
+
+
 def enumerate_windows(grid: GridShape, spec: WindowSpec) -> list[tuple[int, ...]]:
     """Flattened pixel indices of every window position, row-major.
 
@@ -76,20 +88,7 @@ def enumerate_windows(grid: GridShape, spec: WindowSpec) -> list[tuple[int, ...]
     indices inside each window are themselves row-major, so window b (1-based)
     lands at output position (ceil(b / out_cols), ((b-1) mod out_cols) + 1).
     """
-    out = output_grid(grid, spec)
-    first = spec.start - 1  # 0-based corner of the first window
-    windows: list[tuple[int, ...]] = []
-    for i in range(out.rows):
-        r0 = first + i * spec.stride
-        for j in range(out.cols):
-            c0 = first + j * spec.stride
-            idx = tuple(
-                (r0 + wr) * grid.cols + (c0 + wc)
-                for wr in range(spec.window)
-                for wc in range(spec.window)
-            )
-            windows.append(idx)
-    return windows
+    return [tuple(w) for w in window_pixels(grid, spec).tolist()]
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

@@ -287,6 +287,8 @@ class ModelBundle:
     hyper: TrainingHyper
 
     def __post_init__(self) -> None:
+        if self.stack is not None and not self.stack.layers:
+            raise DataError("bundle has a window stack with no layers")
         layers = self.stack.layers if self.stack is not None else ()
         if [w.shape for w in self.weights] != self.arch.layer_shapes():
             raise DataError(f"weight shapes differ from the architecture's {self.arch.layer_shapes()}")
@@ -311,6 +313,7 @@ class ModelBundle:
             for k, stage in enumerate(stages):
                 if stage.width != columns[k]:
                     raise DataError(f"the discretizer before layer {k} has {stage.width} thresholds")
+        object.__setattr__(self, "weights", tuple(_freeze(w) for w in self.weights))
 
 
 class _Writer:
@@ -444,10 +447,18 @@ def _get_array(sections: dict[str, tuple[int, bytes]], name: str) -> np.ndarray:
 
 
 def _get_discretizer(
-    sections: dict[str, tuple[int, bytes]], man: dict[str, str], method: str, param: str, thresholds: str
+    path: Path, sections: dict[str, tuple[int, bytes]], man: dict[str, str],
+    method: str, param: str, thresholds: str,
 ) -> Discretizer:
+    """The discretizer stored under the manifest keys `method` and `param`
+    and the array section `thresholds`; one it refuses is reported under
+    its own name, not as a manifest value."""
     value = man[param]
-    return Discretizer(man[method], _get_array(sections, thresholds), None if value == "none" else float(value))
+    args = man[method], _get_array(sections, thresholds), None if value == "none" else float(value)
+    try:
+        return Discretizer(*args)
+    except ConfigError as exc:
+        raise BundleFormatError(f"{path}: {method.removesuffix('_method')}: {exc}") from exc
 
 
 def load_bundle(path: str | Path) -> ModelBundle:
@@ -484,7 +495,9 @@ def load_bundle(path: str | Path) -> ModelBundle:
             grid = GridShape(int(man["input_rows"]), int(man["input_cols"]))
         disc = None
         if "discretizer" in man:
-            disc = _get_discretizer(sections, man, "discretizer", "discretizer_param", "disc/thresholds")
+            disc = _get_discretizer(
+                path, sections, man, "discretizer", "discretizer_param", "disc/thresholds"
+            )
         n_layers = int(man["n_layers"])
         if n_layers < 0:
             raise BundleFormatError(f"{path}: layer count {n_layers} is negative")
@@ -502,7 +515,9 @@ def load_bundle(path: str | Path) -> ModelBundle:
             except DataError as exc:
                 raise BundleFormatError(f"{path}: layer {k}: {exc}") from exc
         rediscs = [
-            _get_discretizer(sections, man, f"redisc{k}_method", f"redisc{k}_param", f"redisc{k}/thresholds")
+            _get_discretizer(
+                path, sections, man, f"redisc{k}_method", f"redisc{k}_param", f"redisc{k}/thresholds"
+            )
             for k in range(max(0, n_layers - 1))
         ]
         stack = (

@@ -257,6 +257,45 @@ def test_lockstep_fit_equals_per_window_reference(
     assert_matches_reference(data, GridShape(rows, cols), WindowSpec(window=window, stride=stride))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 5),
+    st.integers(2, 5),
+    st.integers(2, 3),
+    st.integers(1, 2),
+    st.integers(2, 40),
+    st.lists(st.integers(2, 5), min_size=25, max_size=25),
+    st.integers(0, 4),
+    st.integers(0, 24),
+    st.booleans(),
+    st.booleans(),
+)
+def test_lockstep_fit_equals_reference_with_unequal_and_large_level_counts(
+    seed, rows, cols, window, stride, n, levels, n_large, at, duplicate, parity
+):
+    """Level counts of 2..5 per column, and 2**15 on up to four pixels of
+    one window: dropping a position removes a digit of unequal radix, and
+    that window's keys reach 2**60 of the 2**62 cap (a 3x3 window takes at
+    most three such pixels, so its keys stay below 2**45 * 5**6 < 2**59).
+    The large pixels take one of their top three levels, so rows share
+    cells whose keys lie near the top of the key range."""
+    window = min(window, rows, cols)
+    grid, spec = GridShape(rows, cols), WindowSpec(window=window, stride=stride)
+    counts = np.array(levels[: grid.size])
+    windows = enumerate_windows(grid, spec)
+    large = list(windows[at % len(windows)][: min(n_large, 3 if window == 3 else 4)])
+    counts[large] = 2**15
+    gen = np.random.default_rng(seed)
+    x = gen.integers(0, np.minimum(counts, 5), size=(n, grid.size))
+    x[:, large] = 2**15 - 1 - x[:, large] % 3
+    if duplicate and grid.size > 1:
+        x[:, 1] = x[:, 0] % counts[1]
+    y = x[:, : min(2, grid.size)].sum(axis=1) % 2 if parity else gen.integers(0, 2, size=n)
+    data = DiscreteDataset(x, y, counts)
+    assert_matches_reference(data, grid, spec)
+
+
 def test_lockstep_fit_equals_reference_on_a_five_by_five_window():
     # 25 pixels at 3 levels: 3**25 possible cells, the largest window allowed
     gen = np.random.default_rng(17)
@@ -279,6 +318,21 @@ def test_lockstep_fit_is_the_same_in_any_chunking(monkeypatch):
         assert a.cell_keys.tobytes() == b.cell_keys.tobytes()
         assert a.cell_means.tobytes() == b.cell_means.tobytes()
         assert a.train_auc == b.train_auc
+
+
+def test_only_the_first_stage_groups_rows(monkeypatch):
+    calls = []
+    group_cells = convlayer._group_cells
+
+    def counted(data, windows):
+        calls.append(len(windows))
+        return group_cells(data, windows)
+
+    monkeypatch.setattr(convlayer, "_group_cells", counted)
+    monkeypatch.setattr(convlayer, "GATHER_LIMIT", 1)  # one window per chunk
+    layer = fit_layer(binary_dataset(40, 25, seed=21), GridShape(5, 5), WindowSpec(window=3, stride=1))
+    assert calls == [1] * layer.n_windows
+    assert (layer.subset_len < 9).any()  # later stages ran
 
 
 def test_fit_rejects_windows_over_the_subset_limit_before_any_work(monkeypatch):

@@ -13,6 +13,7 @@ from interconv import (
     BundleIntegrityError,
     BundleVersionError,
     ConfigError,
+    ConvStack,
     DataError,
     GridShape,
     ImageSet,
@@ -449,6 +450,7 @@ class BadBundle(NamedTuple):
     sections: Callable  # array sections written over a saved bundle
     complaint: str  # expected when built and at load
     error: type = DataError  # raised when built
+    unsaid: str | None = None  # absent from the load error
 
 
 # each case keeps every layer servable on its own but makes the parts of the
@@ -523,6 +525,7 @@ BAD_BUNDLES = {
         lambda b: {"disc/thresholds": np.full(36, np.nan)},
         "discretizer thresholds must be finite",
         ConfigError,
+        "manifest value",  # the thresholds are an array section
     ),
     "infinite rediscretizer threshold": BadBundle(
         lambda b: dataclasses.replace(
@@ -578,8 +581,48 @@ def test_inconsistent_bundle_is_refused_at_load(tmp_path, case):
     save_bundle(bundle, path)
     with_manifest(path, **bad.manifest)
     with_arrays(path, **bad.sections(bundle))
-    with pytest.raises(BundleFormatError, match=re.escape(f"{path}: ") + ".*" + re.escape(bad.complaint)):
+    expected = re.escape(f"{path}: ") + ".*" + re.escape(bad.complaint)
+    with pytest.raises(BundleFormatError, match=expected) as info:
         load_bundle(path)
+    if bad.unsaid is not None:
+        assert bad.unsaid not in str(info.value)
+
+
+def test_discretizer_errors_at_load_name_the_discretizer(tmp_path):
+    bundle, _ = fitted_bundle()
+    path = tmp_path / "model.bundle"
+    save_bundle(bundle, path)
+    with_arrays(path, **{"disc/thresholds": np.full(36, np.nan)})
+    with pytest.raises(BundleFormatError, match=re.escape(f"{path}: discretizer: discretizer thresholds")):
+        load_bundle(path)
+    save_bundle(bundle, path)
+    with_manifest(path, redisc0_param="inf")
+    expected = re.escape(f"{path}: redisc0: discretizer parameter must be finite")
+    with pytest.raises(BundleFormatError, match=expected):
+        load_bundle(path)
+
+
+def test_bundle_with_an_empty_stack_is_refused():
+    bundle, _ = fitted_bundle()
+    with pytest.raises(DataError, match="window stack with no layers"):
+        dataclasses.replace(bundle, stack=ConvStack((), ()))
+
+
+def test_fitted_and_loaded_bundles_refuse_in_place_writes(tmp_path):
+    bundle, _ = fitted_bundle()
+    path = tmp_path / "model.bundle"
+    save_bundle(bundle, path)
+    for b in (bundle, load_bundle(path)):
+        layer = b.stack.layers[0]
+        with pytest.raises(ValueError):
+            layer.cell_means[0] = 7.0
+        for each in b.stack.layers:
+            for name in LAYER_ARRAYS:
+                with pytest.raises(ValueError):
+                    getattr(each, name)[0] = 0
+        for weight in b.weights:
+            with pytest.raises(ValueError):
+                weight[0] = 0.0
 
 
 def test_bundle_needs_one_rebinarizer_between_each_pair_of_layers():

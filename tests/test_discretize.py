@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import real_dataset
+from interconv import discretize
 from interconv import (
     ConfigError,
     DataError,
@@ -81,3 +82,21 @@ def test_discretizer_record_is_frozen():
     disc = fit_discretizer(real_dataset(10, 2), "median")
     with pytest.raises(ValueError):
         disc.thresholds[0] = 0.0
+
+
+@pytest.mark.parametrize("block", [1, 50, discretize.MEDIAN_BLOCK])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10, 61, 200, 201])
+def test_median_thresholds_are_bitwise_numpy_medians(monkeypatch, n, block):
+    monkeypatch.setattr(discretize, "MEDIAN_BLOCK", block)  # 1: one column per block
+    gen = np.random.default_rng(n)
+    x = gen.random((n, 9))
+    x[:, 1] = 0.25  # one value throughout
+    x[:, 2] = gen.integers(0, 3, size=n) / 2  # many ties
+    x[:, 3] = gen.choice([-0.0, 0.0], size=n)  # ties of signed zeros
+    x[:, 4] = gen.choice([-0.0, 0.0, 1.0, -1.0], size=n)
+    x[:, 5] = x[:, 0]
+    x[:, 6] = -x[:, 0]
+    x[:, 7] = gen.choice([5e-324, -5e-324, 0.0], size=n)  # halves round to signed zeros
+    x[:, 8] = gen.choice([8e307, -8e307, 6e307], size=n)  # sums near the float limit
+    thresholds = fit_discretizer(RealDataset(x, np.arange(n) % 2), "median").thresholds
+    assert thresholds.tobytes() == np.median(x, axis=0).tobytes()
