@@ -207,7 +207,9 @@ def _group_cells(
     sizes = data.level_counts[windows]
     radix = np.ones_like(sizes)
     np.cumprod(sizes[:, :-1], axis=1, out=radix[:, 1:])
-    keys = np.take(data.features, windows[:, 0], axis=1)
+    # widened here, where keys are built: levels may be stored as uint8, and
+    # `keys +=` cannot cast into uint8; the products below promote by themselves
+    keys = np.take(data.features, windows[:, 0], axis=1).astype(np.int64, copy=False)
     for j in range(1, windows.shape[1]):
         keys += np.take(data.features, windows[:, j], axis=1) * radix[:, j]
     # the response rides in the low bit (keys stay below 2**62), so one sort
@@ -406,7 +408,7 @@ def transform(layer: FittedConvLayer, data: DiscreteDataset) -> RealDataset:
         radix, starts, offset, table = lookup
         step = max(1, GATHER_LIMIT // len(radix))
         for lo in range(0, data.n, step):
-            levels = data.features[lo : lo + step, layer.subset_flat] * radix
+            levels = data.features[lo : lo + step, layer.subset_flat] * radix  # int64 by promotion
             cols[lo : lo + step] = table[np.add.reduceat(levels, starts, axis=1) + offset]
         return RealDataset(cols, data.response)
     for j, f in enumerate(layer.features):

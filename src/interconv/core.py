@@ -116,9 +116,11 @@ class DiscreteDataset:
     """Rows of small non-negative integer levels with a binary response.
 
     `level_counts[j]` is the number of admissible levels of column j; values
-    in column j must lie in [0, level_counts[j]). Arrays are frozen after
-    construction; an input that is already C-contiguous int64 is shared and
-    frozen in place, not copied.
+    in column j must lie in [0, level_counts[j]). Bool levels, 0 or 1 by
+    their type, are stored as a uint8 view and not scanned; every other
+    input is stored as int64 and fully checked. Arrays are frozen after
+    construction; a bool or C-contiguous int64 input is shared and frozen in
+    place, not copied.
     """
 
     features: np.ndarray
@@ -129,25 +131,30 @@ class DiscreteDataset:
         feats = np.asarray(self.features)
         if feats.ndim != 2 or feats.shape[0] < 1 or feats.shape[1] < 1:
             raise DataError(f"features must be a non-empty 2-d array, got shape {feats.shape}")
-        if not np.issubdtype(feats.dtype, np.integer):
-            if not np.isfinite(feats).all():
-                raise DataError("discrete features must be finite")
-            if not np.all(feats == np.floor(feats)):
-                raise DataError("discrete features must be integer-valued")
-        feats = feats.astype(np.int64, copy=False)
-        if feats.min() < 0:
-            raise DataError("discrete features must be non-negative")
+        narrow = feats.dtype == np.bool_
+        if not narrow:
+            if not np.issubdtype(feats.dtype, np.integer):
+                if not np.isfinite(feats).all():
+                    raise DataError("discrete features must be finite")
+                if not np.all(feats == np.floor(feats)):
+                    raise DataError("discrete features must be integer-valued")
+            feats = feats.astype(np.int64, copy=False)
+            if feats.min() < 0:
+                raise DataError("discrete features must be non-negative")
         n, p = feats.shape
         resp = _check_response(self.response, n)
         if self.level_counts is None:
-            counts = np.maximum(feats.max(axis=0) + 1, 2)
+            counts = np.maximum(feats.max(axis=0).astype(np.int64) + 1, 2)
         else:
             counts = np.asarray(self.level_counts, dtype=np.int64)
             if counts.shape != (p,):
                 raise DataError(f"level_counts shape {counts.shape} does not match {p} columns")
-            if (feats >= counts[np.newaxis, :]).any() or (counts < 2).any():
+            # bool levels lie in [0, 2) by their type
+            if (counts < 2).any() or (not narrow and (feats >= counts[np.newaxis, :]).any()):
                 raise DataError("feature levels must lie in [0, level_counts) with >= 2 levels")
-        object.__setattr__(self, "features", _freeze(feats))
+        # a bool input is frozen itself, so no write to it can reach the view
+        feats = _freeze(feats)
+        object.__setattr__(self, "features", feats.view(np.uint8) if narrow else feats)
         object.__setattr__(self, "response", _freeze(resp))
         object.__setattr__(self, "level_counts", _freeze(counts))
 

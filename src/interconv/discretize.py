@@ -90,30 +90,30 @@ MEDIAN_BLOCK = 2**17
 
 
 def _column_medians(x: np.ndarray) -> np.ndarray:
-    """`np.median(x, axis=0)`, bitwise, from transposed copies of blocks of
-    columns, each partitioned in place: their rows are contiguous where x's
-    columns are strided, and a block of at most `MEDIAN_BLOCK` values keeps
-    the copy small.
+    """`np.median(x, axis=0)`, bitwise, from sorted copies of transposed
+    blocks of columns; a block of at most `MEDIAN_BLOCK` values keeps the
+    copy small.
 
     Like `np.median`, it averages the middle values with a sum that starts
-    at 0.0, so a median of -0.0 comes out as 0.0.
+    at 0.0, so a median of -0.0 comes out as 0.0, whichever of two tied
+    signed zeros the sort puts in the middle.
     """
     n, width = x.shape
     middle = [n // 2] if n % 2 else [n // 2 - 1, n // 2]
     out = np.empty(width)
     step = max(1, MEDIAN_BLOCK // n)
     for lo in range(0, width, step):
-        block = x[:, lo : lo + step].T.copy()
-        block.partition(middle, axis=1)
+        block = np.sort(x[:, lo : lo + step].T, axis=1)
         out[lo : lo + step] = sum((block[:, j] for j in middle), 0.0) / len(middle)
     return out
 
 
 def apply_discretizer(disc: Discretizer, data: RealDataset) -> DiscreteDataset:
-    """Binarize `data` with previously fitted thresholds."""
+    """Binarize `data` with previously fitted thresholds; the levels are
+    stored as uint8 (see `DiscreteDataset`)."""
     if data.width != disc.width:
         raise DataError(
             f"discretizer was fit on {disc.width} columns, data has {data.width}"
         )
-    levels = (data.features > disc.thresholds[np.newaxis, :]).astype(np.int64)
+    levels = data.features > disc.thresholds[np.newaxis, :]
     return DiscreteDataset(levels, data.response, np.full(data.width, 2, dtype=np.int64))

@@ -422,3 +422,93 @@ def test_in_cap_layers_never_read_per_window_records(monkeypatch):
     monkeypatch.setattr(convlayer, "TABLE_LIMIT", 0)
     with pytest.raises(AssertionError, match="per-window lookup"):
         transform(dataclasses.replace(layer), fresh)
+
+
+def narrow_and_wide(x, y):
+    """The same 0/1 levels as a bool matrix (stored as uint8) and as int64."""
+    narrow = DiscreteDataset(x.astype(bool), y, np.full(x.shape[1], 2))
+    wide = DiscreteDataset(x.astype(np.int64), y, np.full(x.shape[1], 2))
+    assert narrow.features.dtype == np.uint8 and wide.features.dtype == np.int64
+    return narrow, wide
+
+
+def assert_same_layer(a, b):
+    for name in convlayer.LAYER_ARRAYS:
+        got, want = getattr(a, name), getattr(b, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.integers(1, 5),
+    st.integers(1, 2),
+    st.integers(1, 40),
+    st.sampled_from(["random", "zeros", "ones", "parity"]),
+    st.booleans(),
+    st.booleans(),
+)
+def test_uint8_levels_fit_and_transform_bitwise_like_int64(
+    seed, rows, cols, window, stride, n, response, duplicate, constant
+):
+    """The planted ties of the reference test above, on 0/1 levels: fit,
+    dense transform and per-window transform agree bitwise."""
+    window = min(window, rows, cols)
+    grid, spec = GridShape(rows, cols), WindowSpec(window=window, stride=stride)
+    gen = np.random.default_rng(seed)
+    x = gen.integers(0, 2, size=(n, grid.size))
+    if duplicate and grid.size > 1:
+        x[:, 1] = x[:, 0]
+        x[:, -1] = x[:, grid.size // 2]
+    if constant:
+        x[:, gen.integers(0, grid.size)] = gen.integers(0, 2)
+    if response == "random":
+        y = gen.integers(0, 2, size=n)
+    elif response == "parity":
+        y = x[:, : min(2, grid.size)].sum(axis=1) % 2
+    else:
+        y = np.full(n, int(response == "ones"))
+    narrow, wide = narrow_and_wide(x, y)
+    layer = fit_layer(narrow, grid, spec)
+    assert_same_layer(layer, fit_layer(wide, grid, spec))
+    fresh_narrow, fresh_wide = narrow_and_wide(gen.integers(0, 2, size=(25, grid.size)), gen.integers(0, 2, size=25))
+    for rows_narrow, rows_wide in ((narrow, wide), (fresh_narrow, fresh_wide)):
+        dense = transform(layer, rows_narrow)
+        assert dense.features.tobytes() == transform(layer, rows_wide).features.tobytes()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(convlayer, "TABLE_LIMIT", 0)
+            sparse = dataclasses.replace(layer)
+            assert sparse.lookup_table is None
+            assert transform(sparse, rows_narrow).features.tobytes() == dense.features.tobytes()
+            assert transform(sparse, rows_wide).features.tobytes() == dense.features.tobytes()
+
+
+def test_uint8_levels_fit_bitwise_like_int64_in_any_chunking(monkeypatch):
+    gen = np.random.default_rng(25)
+    x = gen.integers(0, 2, size=(90, 64))
+    narrow, wide = narrow_and_wide(x, x[:, [9, 10]].sum(axis=1) % 2)
+    grid, spec = GridShape(8, 8), WindowSpec(window=3, stride=1)
+    whole = fit_layer(wide, grid, spec)
+    monkeypatch.setattr(convlayer, "GATHER_LIMIT", 1)  # one window per chunk
+    assert_same_layer(fit_layer(narrow, grid, spec), whole)
+    assert transform(whole, narrow).features.tobytes() == transform(whole, wide).features.tobytes()
+
+
+@pytest.mark.parametrize("rediscretize", ["median", "global:0.5", "quantile:0.3"])
+def test_uint8_levels_stack_bitwise_like_int64(rediscretize):
+    gen = np.random.default_rng(26)
+    x = gen.integers(0, 2, size=(70, 49))
+    narrow, wide = narrow_and_wide(x, (x[:, 0] + x[:, 8]) % 2)
+    specs = [WindowSpec(window=2, stride=1), WindowSpec(window=2, stride=2)]
+    stack_n, out_n = stack_layers(narrow, GridShape(7, 7), specs, rediscretize=rediscretize)
+    stack_w, out_w = stack_layers(wide, GridShape(7, 7), specs, rediscretize=rediscretize)
+    for a, b in zip(stack_n.layers, stack_w.layers, strict=True):
+        assert_same_layer(a, b)
+    for a, b in zip(stack_n.rediscretizers, stack_w.rediscretizers, strict=True):
+        assert a.thresholds.tobytes() == b.thresholds.tobytes()
+    for a, b in zip(out_n, out_w, strict=True):
+        assert a.features.tobytes() == b.features.tobytes()
+    for a, b in zip(stack_outputs(stack_w, narrow), out_w, strict=True):
+        assert a.features.tobytes() == b.features.tobytes()

@@ -202,6 +202,43 @@ def test_datasets_share_input_that_needs_no_conversion():
         assert not given.flags.writeable and not data.features.flags.writeable
 
 
+def test_bool_levels_are_a_frozen_uint8_view_of_the_input():
+    levels = np.array([[True, False], [False, True], [True, True]])
+    data = DiscreteDataset(levels, np.array([0, 1, 1]))
+    assert data.features.dtype == np.uint8
+    assert np.shares_memory(data.features, levels)
+    assert data.features.tolist() == levels.astype(int).tolist()
+    assert data.level_counts.dtype == np.int64 and data.level_counts.tolist() == [2, 2]
+    # the caller's array is frozen too, so no write through it reaches the view
+    with pytest.raises(ValueError):
+        levels[0, 0] = False
+    with pytest.raises(ValueError):
+        data.features[0, 0] = 0
+
+
+def test_bool_levels_still_check_their_level_counts():
+    levels = np.array([[True], [False]])
+    assert DiscreteDataset(levels, np.array([0, 1]), np.array([3])).level_counts.tolist() == [3]
+    with pytest.raises(DataError):
+        DiscreteDataset(levels, np.array([0, 1]), np.array([1]))
+    with pytest.raises(DataError):
+        DiscreteDataset(levels, np.array([0, 1]), np.array([2, 2]))
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.int32, np.uint64, np.float32, np.float64])
+def test_levels_other_than_bool_become_int64(dtype):
+    data = DiscreteDataset(np.array([[0, 1], [1, 0]], dtype=dtype), np.array([0, 1]))
+    assert data.features.dtype == np.int64
+    assert data.features.tolist() == [[0, 1], [1, 0]]
+
+
+def test_inferred_level_counts_do_not_wrap_in_a_narrow_dtype():
+    data = DiscreteDataset(np.array([[255, 1], [0, 0]], dtype=np.uint8), np.array([0, 1]))
+    assert data.level_counts.tolist() == [256, 2]
+    with pytest.raises(DataError):
+        DiscreteDataset(np.array([[255]], dtype=np.uint8), np.array([0]), np.array([255]))
+
+
 def test_datasets_are_frozen():
     ddata = DiscreteDataset(np.array([[0], [1]]), np.array([0, 1]))
     with pytest.raises(ValueError):

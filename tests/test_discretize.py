@@ -100,3 +100,13 @@ def test_median_thresholds_are_bitwise_numpy_medians(monkeypatch, n, block):
     x[:, 8] = gen.choice([8e307, -8e307, 6e307], size=n)  # sums near the float limit
     thresholds = fit_discretizer(RealDataset(x, np.arange(n) % 2), "median").thresholds
     assert thresholds.tobytes() == np.median(x, axis=0).tobytes()
+
+
+@pytest.mark.parametrize("spec", ["median", "global:0.5", "quantile:0.3"])
+def test_levels_are_uint8_with_two_levels_per_column(spec):
+    data = real_dataset(30, 4, seed=3)
+    out = apply_discretizer(fit_discretizer(data, spec), data)
+    assert out.features.dtype == np.uint8
+    assert out.level_counts.dtype == np.int64 and out.level_counts.tolist() == [2] * 4
+    expected = data.features > fit_discretizer(data, spec).thresholds
+    assert np.array_equal(out.features, expected)

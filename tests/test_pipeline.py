@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from oracles import preset_architecture
 
-from interconv import pipeline
+from interconv import convlayer, discretize, pipeline
 from interconv import (
     ConfigError,
     DataError,
+    DiscreteDataset,
     GeometryError,
     GridShape,
     ParityModelSpec,
@@ -22,6 +23,7 @@ from interconv import (
     param_count,
     predict_bundle,
     preset_config,
+    save_bundle,
 )
 from interconv.pipeline import (
     format_report,
@@ -129,6 +131,33 @@ def test_fit_pipeline_with_window_layer():
     assert scores.min() >= 0.0 and scores.max() <= 1.0
     # the planted {X1,X2} window separates the training data
     assert auc(data.response, scores) > 0.7
+
+
+def test_fit_pipeline_is_bitwise_the_same_on_int64_levels(monkeypatch, tmp_path):
+    """Bundle bytes and scores do not depend on the levels being stored as
+    uint8: the same fit with every discretizer output widened to int64."""
+    gen = np.random.default_rng(4)
+    y = gen.integers(0, 2, size=120)
+    x = gen.random((120, 49)) + 0.3 * y[:, np.newaxis] * (np.arange(49) % 5 == 0)
+    config = small_config(
+        discretizer="median", layers=(WindowSpec(2, 1), WindowSpec(2, 2)), rediscretizer="median"
+    )
+    held = gen.random((30, 49))
+    narrow, _ = fit_pipeline(config, RealDataset(x, y))
+    assert pipeline.apply_discretizer(narrow.discretizer, RealDataset(held, np.zeros(30))).features.dtype == np.uint8
+    save_bundle(narrow, tmp_path / "narrow.bundle")
+    narrow_scores = predict_bundle(narrow, held)
+
+    def widened(disc, data):
+        levels = discretize.apply_discretizer(disc, data)
+        return DiscreteDataset(levels.features.astype(np.int64), levels.response, levels.level_counts)
+
+    monkeypatch.setattr(pipeline, "apply_discretizer", widened)
+    monkeypatch.setattr(convlayer, "apply_discretizer", widened)
+    wide, _ = fit_pipeline(config, RealDataset(x, y))
+    save_bundle(wide, tmp_path / "wide.bundle")
+    assert (tmp_path / "narrow.bundle").read_bytes() == (tmp_path / "wide.bundle").read_bytes()
+    assert predict_bundle(wide, held).tobytes() == narrow_scores.tobytes()
 
 
 def test_fit_pipeline_flat():
