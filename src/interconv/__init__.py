@@ -7,7 +7,6 @@ response mean of its selected cell, and trains a small fully-connected
 classifier on the engineered features.
 """
 
-from .bda import BdaStep, BdaTrace, backward_drop, trace_report
 from .convlayer import (
     ConvStack,
     FittedConvLayer,
@@ -43,10 +42,14 @@ from .errors import (
     UndefinedMetricError,
 )
 from .iscore import (
+    BdaStep,
+    BdaTrace,
     InfluenceScore,
+    backward_drop,
     encode_cells,
     influence_score,
     partition_stats,
+    trace_report,
 )
 from .metrics import RocCurve, auc, roc_curve, sensitivity, specificity, write_roc_csv
 from .nn import (

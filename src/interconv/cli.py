@@ -156,8 +156,6 @@ def _parse_modules(text: str, n_features: int) -> tuple[tuple[tuple[int, ...], f
         except ValueError:
             raise ConfigError(f"bad module spec {token!r}") from None
         modules.append((indices, mix))
-    if not modules:
-        raise ConfigError("synth_modules must define at least one module")
     for indices, _ in modules:
         for j in indices:
             if not (0 <= j < n_features):
@@ -283,15 +281,14 @@ def _load_fit_data(raw: dict[str, str], seed: int):
     if raw["train"] and raw["images"]:
         raise ConfigError("set either train= (CSV) or images= (manifest), not both")
     if raw["images"]:
-        for key in ("test_per_class", "augment_per_class"):
-            if _parse_int(raw, key) < 0:
-                raise ConfigError(f"{key} must be >= 0, got {raw[key]}")
+        test_per_class = _parse_int(raw, "test_per_class")
+        target = _parse_int(raw, "augment_per_class")
+        if target < 0:
+            raise ConfigError(f"augment_per_class must be >= 0, got {target}")
         images = dataio.load_images(raw["images"])
         heldout = None
-        test_per_class = _parse_int(raw, "test_per_class")
-        if test_per_class > 0:
+        if test_per_class != 0:
             images, heldout = dataio.split_images(images, test_per_class, seed)
-        target = _parse_int(raw, "augment_per_class")
         if target > 0:
             images = dataio.augment_images(
                 images, target, noise_sd=_parse_float(raw, "noise_sd"), seed=seed
@@ -357,8 +354,6 @@ def cmd_predict(args, bundle, data, sources) -> int:
 
 
 def cmd_eval(args, bundle, data, sources) -> int:
-    if math.isnan(args.threshold):
-        raise ConfigError("--threshold must be a number, got nan")
     summary, curve = evaluate_bundle(bundle, data, threshold=args.threshold)
     out = _out_dir(args)
     write_roc_csv(out / "roc.csv", curve)

@@ -33,7 +33,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import DiscreteDataset, GridShape, RealDataset, WindowSpec, _freeze, output_grid, window_pixels
+from .core import (
+    GATHER_LIMIT, DiscreteDataset, GridShape, RealDataset, WindowSpec, _freeze, output_grid, window_pixels,
+)
 from .discretize import Discretizer, apply_discretizer, fit_discretizer
 from .errors import DataError
 from .iscore import MAX_SUBSET, encode_cells
@@ -173,11 +175,6 @@ class FittedConvLayer:
         table[np.repeat(offset, self.ncells) + self.cell_keys] = self.cell_means
         return radix, starts, offset, table
 
-
-# Bound on the elements of one working array: the lockstep fit groups at
-# most that many row keys or regroups that many padded cells at once, and
-# `transform` codes that many subset elements at once.
-GATHER_LIMIT = 2**17
 
 # Most entries (8 bytes each) a layer's dense lookup table may hold.
 TABLE_LIMIT = 2**20
@@ -425,10 +422,6 @@ class ConvStack:
 
     layers: tuple[FittedConvLayer, ...]
     rediscretizers: tuple[Discretizer, ...]
-
-    @property
-    def output_grid(self) -> GridShape:
-        return self.layers[-1].output_grid
 
 
 def stack_layers(

@@ -16,6 +16,10 @@ import numpy as np
 
 from .errors import DataError, GeometryError
 
+# Most elements one working array may hold: the median fit sorts, the
+# lockstep fit groups or regroups, and `transform` codes at most that many.
+GATHER_LIMIT = 2**17
+
 
 @dataclass(frozen=True)
 class GridShape:

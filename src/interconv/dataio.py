@@ -148,6 +148,8 @@ def split_images(images: ImageSet, test_per_class: int, seed: int) -> tuple[Imag
 
     Row order within each part follows the original corpus order.
     """
+    if test_per_class < 0:
+        raise ConfigError(f"test_per_class must be >= 0, got {test_per_class}")
     rng = np.random.default_rng(seed)
     test_mask = np.zeros(images.n, dtype=bool)
     for cls in sorted(np.unique(images.labels).tolist()):
@@ -343,22 +345,6 @@ class _Writer:
         path.write_bytes(b"".join(parts))
 
 
-def _decode_array(name: str, kind: int, payload: bytes) -> np.ndarray:
-    if len(payload) < 1:
-        raise BundleFormatError(f"section {name}: truncated array header")
-    ndim = payload[0]
-    head_len = 1 + 8 * ndim
-    if len(payload) < head_len:
-        raise BundleFormatError(f"section {name}: truncated array dims")
-    dims = struct.unpack_from(f"<{ndim}Q", payload, 1) if ndim else ()
-    dtype = "<f8" if kind == _KIND_F64 else "<i8"
-    body = payload[head_len:]
-    count = int(np.prod(dims, dtype=np.int64)) if ndim else 1
-    if len(body) != count * 8:
-        raise BundleFormatError(f"section {name}: array payload size mismatch")
-    return np.frombuffer(body, dtype=dtype).reshape(dims).copy()
-
-
 def _read_sections(path: Path) -> dict[str, tuple[int, bytes]]:
     data = path.read_bytes()
     if len(data) < len(_MAGIC) + 8 or not data.startswith(_MAGIC):
@@ -389,6 +375,8 @@ def _read_sections(path: Path) -> dict[str, tuple[int, bytes]]:
             sections[name] = (kind, payload)
     except struct.error as exc:
         raise BundleFormatError(f"{path}: truncated bundle") from exc
+    except UnicodeDecodeError as exc:
+        raise BundleFormatError(f"{path}: a section name is not UTF-8") from exc
     return sections
 
 
@@ -443,7 +431,19 @@ def _get_array(sections: dict[str, tuple[int, bytes]], name: str) -> np.ndarray:
     kind, payload = sections[name]
     if kind not in (_KIND_F64, _KIND_I64):
         raise BundleFormatError(f"section {name} is not an array")
-    return _decode_array(name, kind, payload)
+    if len(payload) < 1:
+        raise BundleFormatError(f"section {name}: truncated array header")
+    ndim = payload[0]
+    head_len = 1 + 8 * ndim
+    if len(payload) < head_len:
+        raise BundleFormatError(f"section {name}: truncated array dims")
+    dims = struct.unpack_from(f"<{ndim}Q", payload, 1) if ndim else ()
+    dtype = "<f8" if kind == _KIND_F64 else "<i8"
+    body = payload[head_len:]
+    count = int(np.prod(dims, dtype=np.int64)) if ndim else 1
+    if len(body) != count * 8:
+        raise BundleFormatError(f"section {name}: array payload size mismatch")
+    return np.frombuffer(body, dtype=dtype).reshape(dims).copy()
 
 
 def _get_discretizer(
@@ -467,11 +467,12 @@ def load_bundle(path: str | Path) -> ModelBundle:
     if "manifest" not in sections:
         raise BundleFormatError(f"{path}: bundle has no manifest")
     man: dict[str, str] = {}
-    for line in sections["manifest"][1].decode("utf-8").splitlines():
-        if line.strip():
-            key, _, value = line.partition("=")
-            man[key] = value
     try:
+        # a manifest that is not UTF-8 is a malformed value (UnicodeDecodeError is a ValueError)
+        for line in sections["manifest"][1].decode("utf-8").splitlines():
+            if line.strip():
+                key, _, value = line.partition("=")
+                man[key] = value
         version = int(man["format_version"])
         if version > FORMAT_VERSION:
             raise BundleVersionError(

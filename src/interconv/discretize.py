@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiscreteDataset, RealDataset, _freeze
+from .core import GATHER_LIMIT, DiscreteDataset, RealDataset, _freeze
 from .errors import ConfigError, DataError
 
 METHODS = ("global", "median", "quantile")
@@ -85,13 +85,9 @@ def fit_discretizer(data: RealDataset, spec: str = "median") -> Discretizer:
     return Discretizer(method, cuts, param)
 
 
-# Most values in one transposed block of columns of the median fit.
-MEDIAN_BLOCK = 2**17
-
-
 def _column_medians(x: np.ndarray) -> np.ndarray:
     """`np.median(x, axis=0)`, bitwise, from sorted copies of transposed
-    blocks of columns; a block of at most `MEDIAN_BLOCK` values keeps the
+    blocks of columns; a block of at most `GATHER_LIMIT` values keeps the
     copy small.
 
     Like `np.median`, it averages the middle values with a sum that starts
@@ -101,7 +97,7 @@ def _column_medians(x: np.ndarray) -> np.ndarray:
     n, width = x.shape
     middle = [n // 2] if n % 2 else [n // 2 - 1, n // 2]
     out = np.empty(width)
-    step = max(1, MEDIAN_BLOCK // n)
+    step = max(1, GATHER_LIMIT // n)
     for lo in range(0, width, step):
         block = np.sort(x[:, lo : lo + step].T, axis=1)
         out[lo : lo + step] = sum((block[:, j] for j in middle), 0.0) / len(middle)

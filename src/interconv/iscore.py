@@ -15,6 +15,12 @@ mean the cell means genuinely separate.
 Cells are keyed mixed-radix: key = sum_m level_m * radix_m with radix_m the
 running product of the level counts of the earlier subset columns. Only
 occupied cells are stored.
+
+Backward dropping searches greedily on the standardized score: from an
+initial subset, each stage removes the variable whose removal scores highest,
+down to one variable; the result is the trajectory-wide argmax, which may be
+the initial subset. This module works one window at a time and is the
+reference that the lockstep fit in `convlayer` is tested against.
 """
 
 from __future__ import annotations
@@ -27,18 +33,6 @@ from .core import DiscreteDataset
 from .errors import DataError
 
 MAX_SUBSET = 25  # cell keys must fit comfortably in signed 64-bit
-
-
-def _check_subset(data: DiscreteDataset, subset: tuple[int, ...]) -> None:
-    if len(subset) == 0:
-        raise DataError("subset must not be empty")
-    if len(subset) > MAX_SUBSET:
-        raise DataError(f"subset size {len(subset)} exceeds the limit of {MAX_SUBSET}")
-    if len(set(subset)) != len(subset):
-        raise DataError(f"subset has repeated indices: {subset}")
-    for j in subset:
-        if not (0 <= j < data.width):
-            raise DataError(f"feature index {j} out of range for width {data.width}")
 
 
 def cell_radix(level_counts: np.ndarray, subset: tuple[int, ...]) -> np.ndarray:
@@ -78,7 +72,15 @@ class CellStats:
 
 def partition_stats(data: DiscreteDataset, subset: tuple[int, ...]) -> CellStats:
     """Group rows by their cell under `subset` and accumulate response stats."""
-    _check_subset(data, subset)
+    if len(subset) == 0:
+        raise DataError("subset must not be empty")
+    if len(subset) > MAX_SUBSET:
+        raise DataError(f"subset size {len(subset)} exceeds the limit of {MAX_SUBSET}")
+    if len(set(subset)) != len(subset):
+        raise DataError(f"subset has repeated indices: {subset}")
+    for j in subset:
+        if not (0 <= j < data.width):
+            raise DataError(f"feature index {j} out of range for width {data.width}")
     raw_keys = encode_cells(data.features, subset, data.level_counts)
     keys, row_cells = np.unique(raw_keys, return_inverse=True)
     counts = np.bincount(row_cells, minlength=len(keys))
@@ -108,3 +110,59 @@ def influence_score(data: DiscreteDataset, subset: tuple[int, ...]) -> Influence
     raw = float(np.sum(stats.counts.astype(np.float64) ** 2 * (local_means - ybar) ** 2))
     standardized = raw / (n * sigma2) if sigma2 > 0.0 else 0.0
     return InfluenceScore(raw=raw, standardized=standardized, n=n, response_variance=sigma2)
+
+
+@dataclass(frozen=True)
+class BdaStep:
+    """One trajectory stage: the variable just dropped (None for the start),
+    the surviving subset, and its standardized influence score."""
+
+    dropped: int | None
+    subset: tuple[int, ...]
+    score: float
+
+
+@dataclass(frozen=True)
+class BdaTrace:
+    steps: tuple[BdaStep, ...]
+    best_subset: tuple[int, ...]
+    best_score: float
+
+
+def backward_drop(data: DiscreteDataset, initial_subset: tuple[int, ...]) -> BdaTrace:
+    """Run the greedy drop trajectory from `initial_subset`.
+
+    Ties at a stage are broken by dropping the lowest feature index; ties in
+    the trajectory argmax keep the earliest (largest) subset. Deterministic:
+    no randomness anywhere.
+    """
+    current = tuple(initial_subset)
+    steps = [BdaStep(None, current, influence_score(data, current).standardized)]
+    while len(current) > 1:
+        best_drop = None
+        best_score = -np.inf
+        # ascending candidate order + strict > drops the lowest index on ties
+        for v in sorted(current):
+            candidate = tuple(j for j in current if j != v)
+            s = influence_score(data, candidate).standardized
+            if s > best_score:
+                best_drop, best_score = v, s
+        current = tuple(j for j in current if j != best_drop)
+        steps.append(BdaStep(best_drop, current, best_score))
+    best = steps[0]
+    for step in steps[1:]:
+        if step.score > best.score:
+            best = step
+    return BdaTrace(steps=tuple(steps), best_subset=best.subset, best_score=best.score)
+
+
+def trace_report(trace: BdaTrace) -> str:
+    """Plain-text trajectory table with 1-based variable names."""
+    lines = [f"{'step':>4}  {'dropped':>8}  {'score':>12}  surviving"]
+    for i, step in enumerate(trace.steps):
+        dropped = "-" if step.dropped is None else f"X{step.dropped + 1}"
+        names = " ".join(f"X{j + 1}" for j in step.subset)
+        lines.append(f"{i:>4}  {dropped:>8}  {step.score:>12.4f}  {names}")
+    best = " ".join(f"X{j + 1}" for j in trace.best_subset)
+    lines.append(f"best: {best} (score {trace.best_score:.4f})")
+    return "\n".join(lines)

@@ -36,7 +36,7 @@ class MlpArchitecture:
         if self.hidden is not None and self.hidden < 1:
             raise ConfigError(f"hidden width must be >= 1 or None, got {self.hidden}")
         if self.output_units not in (1, 2):
-            raise ConfigError(f"output layer must have 1 or 2 units, got {self.output_units}")
+            raise ConfigError(f"output_units must be 1 or 2, got {self.output_units}")
 
     def layer_shapes(self) -> list[tuple[int, int]]:
         if self.hidden is None:

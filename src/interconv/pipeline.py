@@ -54,6 +54,7 @@ class PipelineConfig:
             raise ConfigError(f"features mode must be one of {FEATURE_MODES}, got {self.features_mode!r}")
         parse_discretizer_spec(self.discretizer)
         parse_discretizer_spec(self.rediscretizer)
+        MlpArchitecture(1, self.hidden, self.output_units)  # its rule for hidden and output_units
         if self.workers < 0:
             raise ConfigError(f"workers must be >= 0, got {self.workers}")
 
@@ -182,6 +183,8 @@ class EvalSummary:
 def evaluate_bundle(
     bundle: ModelBundle, data: RealDataset, threshold: float = 0.5
 ) -> tuple[EvalSummary, RocCurve]:
+    if math.isnan(threshold):
+        raise ConfigError("threshold must be a number, got nan")
     scores = predict_bundle(bundle, data.features)
     curve = roc_curve(data.response, scores)
     summary = EvalSummary(

@@ -56,8 +56,8 @@ class ParityModelSpec:
                     raise ConfigError(
                         f"module index {j} out of range for {self.n_features} features"
                     )
-            if mix < 0:
-                raise ConfigError("mixture probabilities must be non-negative")
+            if not 0 <= mix < np.inf:
+                raise ConfigError(f"mixture probabilities must be finite and non-negative, got {mix}")
             total += mix
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"mixture probabilities must sum to 1, got {total}")
@@ -68,7 +68,8 @@ class ParityModelSpec:
 
 
 def _draw(spec: ParityModelSpec, rng: np.random.Generator, n: int) -> DiscreteDataset:
-    x = rng.integers(0, 2, size=(n, spec.n_features), dtype=np.int64)
+    # bool levels take DiscreteDataset's narrow uint8 path; the draw itself is unchanged
+    x = rng.integers(0, 2, size=(n, spec.n_features), dtype=np.int64).astype(bool)
     chosen = rng.choice(len(spec.modules), size=n, p=spec.mixture)
     y = np.zeros(n, dtype=np.int64)
     for m, (features, _) in enumerate(spec.modules):

@@ -249,6 +249,9 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
         "noise_sd=inf",
         "discretizer=global:nan",
         "discretizer=global:-inf",
+        "hidden=0",
+        "hidden=-1",
+        "output_units=3",
     ],
 )
 def test_bad_numeric_value_exits_2(tmp_path, capsys, setting):
@@ -275,6 +278,16 @@ def test_negative_synth_seed_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "synth", "--out", str(tmp_path / "x"), "--seed", "-1")
     assert code == 2
     assert "seed" in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_nan_mixture_weight_exits_2(tmp_path, capsys):
+    code, _, err = run(
+        capsys, "synth", "--out", str(tmp_path / "x"), "--set", "synth_modules=1,2:nan;3,4:1"
+    )
+    assert code == 2
+    assert "mixture" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "x").exists()
 
 

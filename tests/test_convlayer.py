@@ -153,7 +153,7 @@ def test_stack_geometry_and_output_shapes():
     assert len(stack.layers) == 2
     assert len(stack.rediscretizers) == 1
     assert (stack.layers[0].output_grid.rows, stack.layers[0].output_grid.cols) == (5, 5)
-    assert (stack.output_grid.rows, stack.output_grid.cols) == (4, 4)
+    assert (stack.layers[-1].output_grid.rows, stack.layers[-1].output_grid.cols) == (4, 4)
     outputs = stack_outputs(stack, train)
     assert [o.width for o in outputs] == [25, 16]
     for fitted, replayed in zip(fit_outputs, outputs, strict=True):

@@ -6,7 +6,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
-from oracles import with_arrays, with_manifest
+from oracles import _rewrite_sections, with_arrays, with_manifest
 
 from interconv import (
     BundleFormatError,
@@ -34,6 +34,7 @@ from interconv import (
     write_dataset_csv,
     write_pgm,
 )
+from interconv.cli import main
 from interconv.convlayer import LAYER_ARRAYS
 
 
@@ -133,6 +134,12 @@ def test_split_rejects_small_class(tmp_path):
     images = load_images(make_corpus(tmp_path, n0=4, n1=2))
     with pytest.raises(DataError):
         split_images(images, test_per_class=3, seed=0)
+
+
+def test_split_refuses_a_negative_count(tmp_path):
+    images = load_images(make_corpus(tmp_path, n0=4, n1=2))
+    with pytest.raises(ConfigError, match="test_per_class must be >= 0, got -2"):
+        split_images(images, -2, seed=0)
 
 
 def test_augment_tops_up_classes(tmp_path):
@@ -661,6 +668,39 @@ def test_truncated_bundle_is_refused(tmp_path):
     path.write_bytes(raw[: len(raw) // 2])
     with pytest.raises((BundleFormatError, BundleIntegrityError)):
         load_bundle(path)
+
+
+def _with_a_latin1_manifest_byte(path):
+    """Append a Latin-1 manifest line, keeping every CRC-32 valid."""
+
+    def edit(name, kind, payload):
+        return kind, payload + b"note=caf\xe9\n" if name == "manifest" else payload
+
+    _rewrite_sections(path, edit)
+
+
+def _with_a_bad_section_name(path):
+    """Corrupt the name of section clf/w0, which no checksum covers."""
+    path.write_bytes(path.read_bytes().replace(b"clf/w0", b"clf/\xff0", 1))
+
+
+@pytest.mark.parametrize(
+    "corrupt, complaint",
+    [
+        (_with_a_bad_section_name, "a section name is not UTF-8"),
+        (_with_a_latin1_manifest_byte, "malformed manifest value: 'utf-8' codec can't decode"),
+    ],
+    ids=["section name", "manifest"],
+)
+def test_bundle_text_that_is_not_utf8_is_refused(tmp_path, capsys, corrupt, complaint):
+    bundle, _ = fitted_bundle()
+    path = tmp_path / "model.bundle"
+    save_bundle(bundle, path)
+    corrupt(path)
+    with pytest.raises(BundleFormatError, match=re.escape(f"{path}: {complaint}")):
+        load_bundle(path)
+    assert main(["report", "--bundle", str(path)]) == 3
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_wrong_magic_is_refused(tmp_path):

@@ -84,10 +84,10 @@ def test_discretizer_record_is_frozen():
         disc.thresholds[0] = 0.0
 
 
-@pytest.mark.parametrize("block", [1, 50, discretize.MEDIAN_BLOCK])
+@pytest.mark.parametrize("block", [1, 50, discretize.GATHER_LIMIT])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10, 61, 200, 201])
 def test_median_thresholds_are_bitwise_numpy_medians(monkeypatch, n, block):
-    monkeypatch.setattr(discretize, "MEDIAN_BLOCK", block)  # 1: one column per block
+    monkeypatch.setattr(discretize, "GATHER_LIMIT", block)  # 1: one column per block
     gen = np.random.default_rng(n)
     x = gen.random((n, 9))
     x[:, 1] = 0.25  # one value throughout

@@ -215,6 +215,12 @@ def test_evaluate_bundle_matches_metrics():
     assert 0.0 <= summary.specificity <= 1.0
 
 
+def test_evaluate_bundle_refuses_a_nan_threshold():
+    bundle, _ = fit_pipeline(small_config(), synthetic_real(seed=4))
+    with pytest.raises(ConfigError, match="threshold"):
+        evaluate_bundle(bundle, synthetic_real(seed=5), threshold=np.nan)
+
+
 def test_layer_maps_shapes():
     data = synthetic_real(seed=5)
     config = small_config(layers=(WindowSpec(2, 1), WindowSpec(2, 1)))

@@ -67,6 +67,19 @@ def test_seed_determinism_and_stream_order():
     assert d_test.n == 100
 
 
+def test_levels_are_bool_draws_of_the_int64_stream():
+    spec = ParityModelSpec(n_train=300, n_test=200, seed=7)
+    # the reference draw: int64 levels and module choices from one PCG64 stream
+    rng = np.random.default_rng(spec.seed)
+    for data in generate(spec):
+        x = rng.integers(0, 2, size=(data.n, spec.n_features), dtype=np.int64)
+        chosen = rng.choice(len(spec.modules), size=data.n, p=spec.mixture)
+        y = np.where(chosen == 0, x[:, [0, 1]].sum(axis=1) % 2, x[:, [2, 3, 4]].sum(axis=1) % 2)
+        assert data.features.dtype == np.uint8
+        assert np.array_equal(data.features, x)
+        assert np.array_equal(data.response, y)
+
+
 def test_zero_test_rows():
     train, test = generate(ParityModelSpec(seed=1, n_test=0))
     assert isinstance(train, DiscreteDataset)
@@ -100,6 +113,7 @@ def test_single_module_spec():
         {"modules": (((0, 40), 1.0),)},
         {"modules": (((0, 1), -0.5), ((2,), 1.5))},
         {"n_train": 0},
+        {"modules": (((0, 1), np.nan), ((2, 3), 1.0))},
     ],
 )
 def test_bad_specs_rejected(kwargs):
