@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, synth
-from .core import GridShape, RealDataset, WindowSpec
+from .core import GridShape, RealDataset, WindowSpec, _write_csv
 from .errors import ConfigError, DataError, InterconvError, NumericError
 from .metrics import write_roc_csv
 from .nn import TrainingHyper, param_count
@@ -140,7 +140,7 @@ def _parse_layers(text: str) -> tuple[WindowSpec, ...]:
     return tuple(specs)
 
 
-def _parse_modules(text: str, n_features: int) -> tuple[tuple[tuple[int, ...], float], ...]:
+def _parse_modules(text: str) -> tuple[tuple[tuple[int, ...], float], ...]:
     """'1,2:0.5;3,4,5:0.5' with 1-based feature indices."""
     modules = []
     for token in text.split(";"):
@@ -156,12 +156,6 @@ def _parse_modules(text: str, n_features: int) -> tuple[tuple[tuple[int, ...], f
         except ValueError:
             raise ConfigError(f"bad module spec {token!r}") from None
         modules.append((indices, mix))
-    for indices, _ in modules:
-        for j in indices:
-            if not (0 <= j < n_features):
-                raise ConfigError(
-                    f"module index {j + 1} out of range for {n_features} features"
-                )
     return tuple(modules)
 
 
@@ -239,12 +233,11 @@ def load_table_or_images(path: str | Path) -> tuple[RealDataset, tuple[str, ...]
 
 
 def build_synth_spec(raw: dict[str, str]) -> synth.ParityModelSpec:
-    n_features = _parse_int(raw, "synth_features")
     return synth.ParityModelSpec(
-        n_features=n_features,
+        n_features=_parse_int(raw, "synth_features"),
         n_train=_parse_int(raw, "synth_train"),
         n_test=_parse_int(raw, "synth_test"),
-        modules=_parse_modules(raw["synth_modules"], n_features),
+        modules=_parse_modules(raw["synth_modules"]),
         seed=_parse_int(raw, "seed"),
     )
 
@@ -343,12 +336,8 @@ def cmd_transform(args, bundle, data, sources) -> int:
 def cmd_predict(args, bundle, data, sources) -> int:
     scores = predict_bundle(bundle, data.features)
     out = _out_dir(args)
-    with open(out / "predictions.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "source", "score"])
-        for i, s in enumerate(scores, start=1):
-            src = sources[i - 1] if sources else ""
-            writer.writerow([i, src, repr(float(s))])
+    rows = zip(range(1, len(scores) + 1), sources or [""] * len(scores), scores)
+    _write_csv(out / "predictions.csv", ["row", "source", "score"], rows)
     print(f"wrote {out / 'predictions.csv'} ({len(scores)} rows)")
     return 0
 

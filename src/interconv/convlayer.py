@@ -69,6 +69,19 @@ LAYER_ARRAYS = (
 )
 
 
+def _cell_counts(level_counts: np.ndarray, flat: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Exact cell count of each subset laid end to end in `flat`, refusing one
+    over 2**62 so that int64 cell keys and table sizes cannot overflow."""
+    starts = np.cumsum(lengths) - lengths
+    cells = np.multiply.reduceat(level_counts[flat].astype(object), starts)
+    over = np.flatnonzero(cells > 2**62)
+    if over.size:
+        first = starts[over[0]]
+        subset = tuple(flat[first : first + lengths[over[0]]].tolist())
+        raise DataError(f"partition of subset {subset} overflows 64-bit cell keys: more than 2**62 cells")
+    return cells
+
+
 @dataclass(frozen=True, eq=False)
 class FittedConvLayer:
     input_grid: GridShape
@@ -107,12 +120,7 @@ class FittedConvLayer:
             raise DataError(f"{len(self.level_counts)} level counts for {size} columns")
         if (self.level_counts < 2).any():
             raise DataError("a level count is below 2")
-        # cells per window, refused above 2**62 as fit_layer refuses them, so int64 bounds cannot overflow
-        cells = np.multiply.reduceat(
-            self.level_counts[self.subset_flat].astype(object), np.cumsum(self.subset_len) - self.subset_len
-        )
-        if (cells > 2**62).any():
-            raise DataError("a subset has more than 2**62 cells")
+        cells = _cell_counts(self.level_counts, self.subset_flat, self.subset_len)
         keys, window = self.cell_keys, np.repeat(np.arange(n), self.ncells)
         if ((keys < 0) | (keys >= cells.astype(np.int64)[window])).any():
             raise DataError("a cell key lies outside its subset's cell range")
@@ -360,11 +368,7 @@ def fit_layer(
         raise DataError(f"subset size {k} exceeds the limit of {MAX_SUBSET}")
     # candidates in ascending position order are what backward_drop visits
     assert (np.diff(windows, axis=1) > 0).all(), "window pixels must be ascending"
-    cells_per_window = np.prod(data.level_counts[windows].astype(object), axis=1)
-    overflow = np.flatnonzero(cells_per_window > 2**62)
-    if overflow.size:
-        subset = tuple(windows[overflow[0]].tolist())
-        raise DataError(f"partition of subset {subset} overflows 64-bit cell keys")
+    cells_per_window = _cell_counts(data.level_counts, windows.ravel(), np.full(len(windows), k))
 
     y = data.response.astype(np.float64)
     ybar = y.mean()

@@ -1,4 +1,4 @@
-"""Grids, sliding windows, and the two dataset value types.
+"""Grids, sliding windows, the two dataset value types, and one CSV writer.
 
 Conventions used throughout the package:
 
@@ -10,7 +10,9 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -93,6 +95,14 @@ def enumerate_windows(grid: GridShape, spec: WindowSpec) -> list[tuple[int, ...]
     lands at output position (ceil(b / out_cols), ((b-1) mod out_cols) + 1).
     """
     return [tuple(w) for w in window_pixels(grid, spec).tolist()]
+
+
+def _write_csv(path: str | Path, header: list[str], rows) -> None:
+    """Write one table; `csv` writes each float by its shortest repr, so it reads back exactly."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

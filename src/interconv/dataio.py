@@ -21,7 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from .convlayer import FEATURE_MODES, LAYER_ARRAYS, ConvStack, FittedConvLayer
-from .core import DiscreteDataset, GridShape, RealDataset, WindowSpec, _check_response, _freeze
+from .core import (
+    DiscreteDataset, GridShape, RealDataset, WindowSpec, _check_response, _freeze, _write_csv,
+)
 from .discretize import Discretizer
 from .errors import (
     BundleFormatError,
@@ -221,15 +223,8 @@ def augment_images(
 
 def write_dataset_csv(path: str | Path, dataset: DiscreteDataset | RealDataset) -> None:
     """Feature matrix with header X1..Xp,Y; integers for discrete data."""
-    discrete = isinstance(dataset, DiscreteDataset)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"X{j + 1}" for j in range(dataset.width)] + ["Y"])
-        for row, y in zip(dataset.features, dataset.response):
-            if discrete:
-                writer.writerow([int(v) for v in row] + [int(y)])
-            else:
-                writer.writerow([repr(float(v)) for v in row] + [int(y)])
+    rows = (row + [y] for row, y in zip(dataset.features.tolist(), dataset.response.tolist()))
+    _write_csv(path, [f"X{j + 1}" for j in range(dataset.width)] + ["Y"], rows)
 
 
 def read_dataset_csv(path: str | Path) -> RealDataset:

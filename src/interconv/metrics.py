@@ -6,17 +6,19 @@ so ties at the threshold fall on the negative side.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import _is_binary
-from .errors import UndefinedMetricError
+from .core import _is_binary, _write_csv
+from .errors import ConfigError, UndefinedMetricError
 
 
-def _checked(y_true, scores):
+def _checked(y_true, scores, threshold: float = 0.0):
+    """Labels and scores as arrays; ±inf thresholds stay allowed as `roc_curve`'s sentinel cuts."""
+    if np.isnan(threshold):
+        raise ConfigError(f"threshold must be a number, got {threshold}")
     y = np.asarray(y_true).ravel()
     s = np.asarray(scores, dtype=np.float64).ravel()
     if y.shape != s.shape:
@@ -30,7 +32,7 @@ def _checked(y_true, scores):
 
 def sensitivity(y_true, scores, threshold: float) -> float:
     """True-positive rate at `threshold`. Errors when there are no positives."""
-    y, s = _checked(y_true, scores)
+    y, s = _checked(y_true, scores, threshold)
     positives = int((y == 1).sum())
     if positives == 0:
         raise UndefinedMetricError("sensitivity is undefined without positive labels")
@@ -39,7 +41,7 @@ def sensitivity(y_true, scores, threshold: float) -> float:
 
 def specificity(y_true, scores, threshold: float) -> float:
     """True-negative rate at `threshold`. Errors when there are no negatives."""
-    y, s = _checked(y_true, scores)
+    y, s = _checked(y_true, scores, threshold)
     negatives = int((y == 0).sum())
     if negatives == 0:
         raise UndefinedMetricError("specificity is undefined without negative labels")
@@ -164,8 +166,5 @@ def grouped_auc(
 
 
 def write_roc_csv(path: str | Path, curve: RocCurve) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["threshold", "sensitivity", "specificity"])
-        for t, se, sp in zip(curve.thresholds, curve.sens, curve.spec):
-            writer.writerow([repr(float(t)), repr(float(se)), repr(float(sp))])
+    rows = zip(curve.thresholds, curve.sens, curve.spec)
+    _write_csv(path, ["threshold", "sensitivity", "specificity"], rows)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RealDataset
+from .core import RealDataset, _write_csv
 from .errors import ConfigError, DataError, NumericError
 
 CLAMP = 1e-12
@@ -252,11 +252,6 @@ def train(
 
 
 def write_loss_csv(path, result: TrainResult) -> None:
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "val_loss"])
-        for i, loss in enumerate(result.train_losses, start=1):
-            val = "" if result.val_losses is None else repr(result.val_losses[i - 1])
-            writer.writerow([i, repr(loss), val])
+    val = result.val_losses or ("",) * len(result.train_losses)
+    rows = zip(range(1, len(val) + 1), result.train_losses, val)
+    _write_csv(path, ["epoch", "train_loss", "val_loss"], rows)

@@ -6,7 +6,6 @@ work starts, so an invalid configuration can never leave partial outputs.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -14,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .convlayer import FEATURE_MODES, ConvStack, _join_outputs, stack_layers, stack_outputs, transform_stack
-from .core import DiscreteDataset, GridShape, RealDataset, WindowSpec, output_grid
+from .core import DiscreteDataset, GridShape, RealDataset, WindowSpec, _write_csv, output_grid
 from .dataio import ModelBundle, save_bundle
 from .discretize import apply_discretizer, fit_discretizer, parse_discretizer_spec
 from .errors import ConfigError, DataError
@@ -183,8 +182,6 @@ class EvalSummary:
 def evaluate_bundle(
     bundle: ModelBundle, data: RealDataset, threshold: float = 0.5
 ) -> tuple[EvalSummary, RocCurve]:
-    if math.isnan(threshold):
-        raise ConfigError("threshold must be a number, got nan")
     scores = predict_bundle(bundle, data.features)
     curve = roc_curve(data.response, scores)
     summary = EvalSummary(
@@ -229,21 +226,17 @@ def preset_config(name: str, grid: GridShape = GridShape(128, 128)) -> PipelineC
 
 def write_windows_csv(path: str | Path, stack: ConvStack) -> None:
     """Per-window fit table: position, selected variables (1-based), score, AUC."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["layer", "window", "out_row", "out_col", "variables", "n_cells", "iscore", "train_auc"]
-        )
-        for li, layer in enumerate(stack.layers, start=1):
-            out = layer.output_grid
-            for f in layer.features:
-                b = f.window_index
-                row = (b - 1) // out.cols + 1
-                col = (b - 1) % out.cols + 1
-                names = " ".join(f"X{j + 1}" for j in f.selected_subset)
-                writer.writerow(
-                    [li, b, row, col, names, len(f.cell_keys), repr(f.iscore), repr(f.train_auc)]
-                )
+    rows = []
+    for li, layer in enumerate(stack.layers, start=1):
+        out = layer.output_grid
+        for f in layer.features:
+            b = f.window_index
+            row = (b - 1) // out.cols + 1
+            col = (b - 1) % out.cols + 1
+            names = " ".join(f"X{j + 1}" for j in f.selected_subset)
+            rows.append([li, b, row, col, names, len(f.cell_keys), f.iscore, f.train_auc])
+    header = ["layer", "window", "out_row", "out_col", "variables", "n_cells", "iscore", "train_auc"]
+    _write_csv(path, header, rows)
 
 
 def geometry_line(stack: ConvStack) -> str:

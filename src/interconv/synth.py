@@ -46,16 +46,14 @@ class ParityModelSpec:
         if not self.modules:
             raise ConfigError("at least one parity module is required")
         total = 0.0
-        for features, mix in self.modules:
+        # modules are named by 1-based position, as `cmd_synth` lists them, not by a 0-based index
+        for m, (features, mix) in enumerate(self.modules, start=1):
             if not features:
                 raise ConfigError("parity modules must not be empty")
             if len(set(features)) != len(features):
-                raise ConfigError(f"module {features} has repeated indices")
-            for j in features:
-                if not (0 <= j < self.n_features):
-                    raise ConfigError(
-                        f"module index {j} out of range for {self.n_features} features"
-                    )
+                raise ConfigError(f"module {m} has repeated indices")
+            if not all(0 <= j < self.n_features for j in features):
+                raise ConfigError(f"module {m} has an index outside the {self.n_features} features")
             if not 0 <= mix < np.inf:
                 raise ConfigError(f"mixture probabilities must be finite and non-negative, got {mix}")
             total += mix

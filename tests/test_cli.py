@@ -2,13 +2,25 @@
 worker-count determinism guarantee."""
 
 import argparse
+import csv
 import dataclasses
 
 import numpy as np
 import pytest
 from oracles import with_arrays, with_manifest
 
-from interconv import DataError, GridShape, ParityModelSpec, PipelineConfig, load_bundle, read_pgm, save_bundle, write_pgm
+from interconv import (
+    DataError,
+    GridShape,
+    ParityModelSpec,
+    PipelineConfig,
+    load_bundle,
+    predict_bundle,
+    read_dataset_csv,
+    read_pgm,
+    save_bundle,
+    write_pgm,
+)
 from interconv.cli import build_parser, build_pipeline_config, build_synth_spec, main, resolve_config
 
 
@@ -110,6 +122,25 @@ def test_predict_eval_transform_report(tmp_path, synth_dir, fit_dir, capsys):
     assert code == 0
     assert "geometry: 6x6 -> 5x5" in stdout
     assert "strongest windows" in stdout
+
+
+def test_predictions_csv_scores_read_back_bitwise(tmp_path, synth_dir, fit_dir, capsys):
+    out = tmp_path / "pred"
+    code, _, _ = run(
+        capsys,
+        "predict",
+        "--bundle", str(fit_dir / "model.bundle"),
+        "--data", str(synth_dir / "test.csv"),
+        "--out", str(out),
+    )
+    assert code == 0
+    with open(out / "predictions.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    bundle = load_bundle(fit_dir / "model.bundle")
+    expected = predict_bundle(bundle, read_dataset_csv(synth_dir / "test.csv").features)
+    assert [r["row"] for r in rows] == [str(i) for i in range(1, len(expected) + 1)]
+    assert {r["source"] for r in rows} == {""}
+    assert np.array([float(r["score"]) for r in rows]).tobytes() == expected.tobytes()
 
 
 def test_export_maps_names_and_content(tmp_path, synth_dir, fit_dir, capsys):
@@ -278,6 +309,21 @@ def test_negative_synth_seed_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "synth", "--out", str(tmp_path / "x"), "--seed", "-1")
     assert code == 2
     assert "seed" in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_synth_module_index_outside_the_features_exits_2(tmp_path, capsys):
+    code, out, err = run(
+        capsys,
+        "synth",
+        "--out", str(tmp_path / "x"),
+        "--set", "synth_features=6",
+        "--set", "synth_modules=1,40:1",
+    )
+    assert code == 2
+    assert "module 1" in err
+    assert "Traceback" not in err
+    assert out == ""
     assert not (tmp_path / "x").exists()
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from oracles import pairwise_auc
 
 from interconv import (
+    ConfigError,
     RocCurve,
     UndefinedMetricError,
     auc,
@@ -137,6 +138,15 @@ def test_auc_requires_both_classes():
 def test_metrics_refuse_non_finite_scores(metric, bad):
     with pytest.raises(UndefinedMetricError, match="scores must be finite"):
         metric([0, 1, 0, 1], [bad, 0.9, 0.2, 0.8])
+
+
+@pytest.mark.parametrize("metric", [sensitivity, specificity])
+def test_pointwise_metrics_refuse_a_nan_threshold(metric):
+    y, s = [0, 1, 0, 1], [0.1, 0.9, 0.4, 0.6]
+    with pytest.raises(ConfigError, match="threshold must be a number, got nan"):
+        metric(y, s, np.nan)
+    # ±inf stay allowed: they are roc_curve's sentinel cuts
+    assert metric(y, s, np.inf) + metric(y, s, -np.inf) == 1.0
 
 
 def test_curve_matches_pointwise_metrics(rng):

@@ -1,5 +1,7 @@
 """Pipeline orchestration: configuration, geometry, presets, and fit/eval."""
 
+import csv
+
 import numpy as np
 import pytest
 from oracles import preset_architecture
@@ -266,3 +268,29 @@ def test_write_fit_outputs(tmp_path):
     first = windows[1].split(",")
     assert first[:4] == ["1", "1", "1", "1"]
     assert first[4].startswith("X")
+
+
+@pytest.mark.parametrize("one_class", [False, True], ids=["two-class", "one-class"])
+def test_windows_csv_rows_match_their_layers(tmp_path, one_class):
+    data = synthetic_real(seed=10)
+    if one_class:
+        data = RealDataset(data.features, np.zeros(data.n, dtype=np.int64))
+    bundle, report = fit_pipeline(small_config(layers=(WindowSpec(2, 1), WindowSpec(2, 2))), data)
+    with open(write_fit_outputs(tmp_path, bundle, report)["windows"], newline="", encoding="utf-8") as fh:
+        rows = iter(list(csv.DictReader(fh)))
+    for li, layer in enumerate(bundle.stack.layers, start=1):
+        w, stride, cols = layer.spec.window, layer.spec.stride, layer.input_grid.cols
+        subsets = np.split(layer.subset_flat, np.cumsum(layer.subset_len)[:-1])
+        for b, subset in enumerate(subsets):
+            row = next(rows)
+            out_row, out_col = divmod(b, layer.output_grid.cols)
+            position = [li, b + 1, out_row + 1, out_col + 1]
+            assert [row[k] for k in ("layer", "window", "out_row", "out_col")] == [str(v) for v in position]
+            assert row["variables"] == " ".join(f"X{j + 1}" for j in subset)
+            # every named variable lies inside the window at (out_row, out_col)
+            assert all(0 <= j // cols - out_row * stride < w and 0 <= j % cols - out_col * stride < w for j in subset)
+            assert row["n_cells"] == str(layer.ncells[b])
+            assert np.float64(row["iscore"]).tobytes() == layer.iscore[b].tobytes()
+            assert np.float64(row["train_auc"]).tobytes() == layer.auc[b].tobytes()
+        assert np.isnan(layer.auc).all() == one_class
+    assert next(rows, None) is None
