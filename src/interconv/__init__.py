@@ -49,7 +49,6 @@ from .iscore import (
     encode_cells,
     influence_score,
     partition_stats,
-    trace_report,
 )
 from .metrics import RocCurve, auc, roc_curve, sensitivity, specificity, write_roc_csv
 from .nn import (

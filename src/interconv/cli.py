@@ -207,6 +207,17 @@ def build_pipeline_config(raw: dict[str, str]) -> PipelineConfig:
     )
 
 
+def read_config(args: argparse.Namespace):
+    """The resolved keys, every one checked before any output: (keys, pipeline
+    config, generator spec, (test_per_class, augment_per_class, noise_sd))."""
+    raw = resolve_config(args)
+    target = _parse_int(raw, "augment_per_class")
+    if target < 0:
+        raise ConfigError(f"augment_per_class must be >= 0, got {target}")
+    images = _parse_int(raw, "test_per_class"), target, _parse_float(raw, "noise_sd")
+    return raw, build_pipeline_config(raw), build_synth_spec(raw), images
+
+
 def write_resolved(out_dir: Path, raw: dict[str, str], extra: dict[str, str] | None = None) -> None:
     lines = [f"{k} = {raw[k]}" for k in sorted(raw)]
     for key, value in (extra or {}).items():
@@ -249,8 +260,7 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    raw = resolve_config(args)
-    spec = build_synth_spec(raw)
+    raw, _, spec, _ = read_config(args)
     train_data, test_data = synth.generate(spec)
     out = _out_dir(args)
     dataio.write_dataset_csv(out / "train.csv", train_data)
@@ -269,23 +279,18 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_fit_data(raw: dict[str, str], seed: int):
-    """Training data for fit/train plus optional sources and held-out images."""
+def _load_fit_data(raw: dict[str, str], image_keys: tuple[int, int, float], seed: int):
+    """Training data for fit/train plus optional held-out images."""
     if raw["train"] and raw["images"]:
         raise ConfigError("set either train= (CSV) or images= (manifest), not both")
     if raw["images"]:
-        test_per_class = _parse_int(raw, "test_per_class")
-        target = _parse_int(raw, "augment_per_class")
-        if target < 0:
-            raise ConfigError(f"augment_per_class must be >= 0, got {target}")
+        test_per_class, target, noise_sd = image_keys
         images = dataio.load_images(raw["images"])
         heldout = None
         if test_per_class != 0:
             images, heldout = dataio.split_images(images, test_per_class, seed)
         if target > 0:
-            images = dataio.augment_images(
-                images, target, noise_sd=_parse_float(raw, "noise_sd"), seed=seed
-            )
+            images = dataio.augment_images(images, target, noise_sd=noise_sd, seed=seed)
         return images.to_real_dataset(), heldout
     if raw["train"]:
         return dataio.read_dataset_csv(raw["train"]), None
@@ -294,11 +299,10 @@ def _load_fit_data(raw: dict[str, str], seed: int):
 
 def cmd_fit(args: argparse.Namespace) -> int:
     """The fit and train subcommands; train refuses window layers."""
-    raw = resolve_config(args)
-    config = build_pipeline_config(raw)
+    raw, config, _, image_keys = read_config(args)
     if args.command == "train" and config.layers:
         raise ConfigError("the train subcommand trains on flat features; use fit for window layers")
-    data, heldout = _load_fit_data(raw, config.hyper.seed)
+    data, heldout = _load_fit_data(raw, image_keys, config.hyper.seed)
     val_data = dataio.read_dataset_csv(raw["val"]) if raw["val"] else None
     # validate the full geometry chain before creating any output
     if config.layers:

@@ -421,11 +421,27 @@ def transform(layer: FittedConvLayer, data: DiscreteDataset) -> RealDataset:
 
 @dataclass(frozen=True, eq=False)
 class ConvStack:
-    """Fitted layers in order plus the re-binarizers fitted between them
-    (len(rediscretizers) == len(layers) - 1)."""
+    """Fitted layers in order plus the re-binarizers fitted between them: layer
+    k reads layer k-1's output grid, re-binarized with one threshold per window."""
 
     layers: tuple[FittedConvLayer, ...]
     rediscretizers: tuple[Discretizer, ...]
+
+    def __post_init__(self) -> None:
+        """Refuse layers that do not chain, whether fitted, loaded or built by hand."""
+        if not self.layers:
+            raise DataError("window stack with no layers")
+        if len(self.rediscretizers) != len(self.layers) - 1:
+            raise DataError(f"{len(self.layers)} window layers with {len(self.rediscretizers)} re-binarizers")
+        for k, disc in enumerate(self.rediscretizers, start=1):
+            if disc.width != self.layers[k - 1].n_windows:
+                raise DataError(f"the discretizer before layer {k} has {disc.width} thresholds")
+            have, want = self.layers[k].input_grid, self.layers[k - 1].output_grid
+            if have != want:
+                raise DataError(
+                    f"layer {k}'s input grid {have.rows}x{have.cols} is not "
+                    f"layer {k - 1}'s output grid {want.rows}x{want.cols}"
+                )
 
 
 def stack_layers(
@@ -440,8 +456,6 @@ def stack_layers(
     Also returns every layer's engineered features for `data`, as
     `stack_outputs` would compute them.
     """
-    if not specs:
-        raise DataError("at least one window spec is required")
     layers: list[FittedConvLayer] = []
     rediscretizers: list[Discretizer] = []
     outputs: list[RealDataset] = []

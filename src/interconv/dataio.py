@@ -5,14 +5,15 @@ key=value lines) plus little-endian float64/int64 arrays, each section
 carrying its own CRC-32. Loading verifies every checksum and refuses files
 written by a newer format version. Round trips are bit-exact.
 
-The loader only parses. `FittedConvLayer`, `Discretizer` and `ModelBundle`
-check their own contents when built, whether fitted, loaded or made by a
-caller; the loader reports what they refuse as `BundleFormatError`.
+The loader only parses. Layers, stacks, discretizers and bundles check
+their own contents when built, whether fitted, loaded or made by a caller;
+the loader reports what they refuse as `BundleFormatError`.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -284,16 +285,18 @@ class ModelBundle:
     hyper: TrainingHyper
 
     def __post_init__(self) -> None:
-        if self.stack is not None and not self.stack.layers:
-            raise DataError("bundle has a window stack with no layers")
-        layers = self.stack.layers if self.stack is not None else ()
         if [w.shape for w in self.weights] != self.arch.layer_shapes():
             raise DataError(f"weight shapes differ from the architecture's {self.arch.layer_shapes()}")
         if not all(np.isfinite(w).all() for w in self.weights):
             raise DataError("a classifier weight is not finite")
         if self.features_mode not in FEATURE_MODES:
             raise DataError(f"features mode {self.features_mode!r} is not one of {FEATURE_MODES}")
-        if layers:
+        if self.stack is None:
+            # a flat bundle reads its rows as they are, so these would go unused
+            if self.discretizer is not None or self.input_grid is not None:
+                raise DataError("bundle has a discretizer or input grid but no window layers")
+        else:
+            layers = self.stack.layers
             if self.discretizer is None:
                 raise DataError("bundle has window layers but no discretizer")
             if self.input_grid not in (None, layers[0].input_grid):
@@ -302,42 +305,23 @@ class ModelBundle:
             width = sum(widths) if self.features_mode == "concat" else widths[-1]
             if self.arch.input_width != width:
                 raise DataError(f"classifier input width {self.arch.input_width}, stack output {width}")
-            stages = [self.discretizer, *self.stack.rediscretizers]
-            if len(stages) != len(layers):
-                raise DataError(f"{len(layers)} window layers with {len(stages) - 1} re-binarizers")
-            # the discretizer feeding layer k has one threshold per column of its input
-            columns = [layers[0].input_grid.size, *widths]
-            for k, stage in enumerate(stages):
-                if stage.width != columns[k]:
-                    raise DataError(f"the discretizer before layer {k} has {stage.width} thresholds")
+            if self.discretizer.width != layers[0].input_grid.size:
+                raise DataError(f"the discretizer before layer 0 has {self.discretizer.width} thresholds")
         object.__setattr__(self, "weights", tuple(_freeze(w) for w in self.weights))
 
 
-class _Writer:
-    def __init__(self) -> None:
-        self.sections: list[tuple[str, int, bytes]] = []
+def _section(name: str, kind: int, payload: bytes) -> bytes:
+    """One bundle section: name, kind, payload length, payload, CRC-32."""
+    raw = name.encode("utf-8")
+    head = struct.pack("<H", len(raw)) + raw + struct.pack("<BQ", kind, len(payload))
+    return head + payload + struct.pack("<I", zlib.crc32(payload))
 
-    def text(self, name: str, value: str) -> None:
-        self.sections.append((name, _KIND_TEXT, value.encode("utf-8")))
 
-    def array(self, name: str, arr: np.ndarray) -> None:
-        arr = np.asarray(arr)
-        if np.issubdtype(arr.dtype, np.floating):
-            kind, data = _KIND_F64, arr.astype("<f8").tobytes(order="C")
-        else:
-            kind, data = _KIND_I64, arr.astype("<i8").tobytes(order="C")
-        head = struct.pack(f"<B{arr.ndim}Q", arr.ndim, *arr.shape)
-        self.sections.append((name, kind, head + data))
-
-    def dump(self, path: Path) -> None:
-        parts = [_MAGIC, struct.pack("<II", FORMAT_VERSION, len(self.sections))]
-        for name, kind, payload in self.sections:
-            raw = name.encode("utf-8")
-            parts.append(struct.pack("<H", len(raw)) + raw)
-            parts.append(struct.pack("<BQ", kind, len(payload)))
-            parts.append(payload)
-            parts.append(struct.pack("<I", zlib.crc32(payload)))
-        path.write_bytes(b"".join(parts))
+def _array_section(name: str, arr: np.ndarray) -> bytes:
+    """An array section: ndim, dims, then little-endian float64 or int64 values."""
+    kind, dtype = (_KIND_F64, "<f8") if np.issubdtype(arr.dtype, np.floating) else (_KIND_I64, "<i8")
+    head = struct.pack(f"<B{arr.ndim}Q", arr.ndim, *arr.shape)
+    return _section(name, kind, head + arr.astype(dtype).tobytes(order="C"))
 
 
 def _read_sections(path: Path) -> dict[str, tuple[int, bytes]]:
@@ -376,7 +360,7 @@ def _read_sections(path: Path) -> dict[str, tuple[int, bytes]]:
 
 
 def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
-    w = _Writer()
+    sections: list[bytes] = []
     man: dict[str, str] = {
         "format_version": str(FORMAT_VERSION),
         "features_mode": bundle.features_mode,
@@ -398,7 +382,7 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
         man["discretizer_param"] = (
             "none" if bundle.discretizer.param is None else repr(bundle.discretizer.param)
         )
-        w.array("disc/thresholds", bundle.discretizer.thresholds)
+        sections.append(_array_section("disc/thresholds", bundle.discretizer.thresholds))
     layers = bundle.stack.layers if bundle.stack is not None else ()
     man["n_layers"] = str(len(layers))
     for k, layer in enumerate(layers):
@@ -408,16 +392,18 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
         man[f"layer{k}_in_rows"] = str(layer.input_grid.rows)
         man[f"layer{k}_in_cols"] = str(layer.input_grid.cols)
         for name in LAYER_ARRAYS:
-            w.array(f"layer{k}/{name}", getattr(layer, name))
+            sections.append(_array_section(f"layer{k}/{name}", getattr(layer, name)))
     rediscs = bundle.stack.rediscretizers if bundle.stack is not None else ()
     for k, disc in enumerate(rediscs):
         man[f"redisc{k}_method"] = disc.method
         man[f"redisc{k}_param"] = "none" if disc.param is None else repr(disc.param)
-        w.array(f"redisc{k}/thresholds", disc.thresholds)
+        sections.append(_array_section(f"redisc{k}/thresholds", disc.thresholds))
     for i, weight in enumerate(bundle.weights):
-        w.array(f"clf/w{i}", weight)
-    w.text("manifest", "".join(f"{k}={v}\n" for k, v in man.items()))
-    w.dump(Path(path))
+        sections.append(_array_section(f"clf/w{i}", weight))
+    manifest = "".join(f"{k}={v}\n" for k, v in man.items()).encode("utf-8")
+    sections.append(_section("manifest", _KIND_TEXT, manifest))
+    head = _MAGIC + struct.pack("<II", FORMAT_VERSION, len(sections))
+    Path(path).write_bytes(b"".join([head, *sections]))
 
 
 def _get_array(sections: dict[str, tuple[int, bytes]], name: str) -> np.ndarray:
@@ -432,11 +418,11 @@ def _get_array(sections: dict[str, tuple[int, bytes]], name: str) -> np.ndarray:
     head_len = 1 + 8 * ndim
     if len(payload) < head_len:
         raise BundleFormatError(f"section {name}: truncated array dims")
-    dims = struct.unpack_from(f"<{ndim}Q", payload, 1) if ndim else ()
+    dims = struct.unpack_from(f"<{ndim}Q", payload, 1)
     dtype = "<f8" if kind == _KIND_F64 else "<i8"
     body = payload[head_len:]
-    count = int(np.prod(dims, dtype=np.int64)) if ndim else 1
-    if len(body) != count * 8:
+    # Python integers: an int64 product of dims such as (2**32, 2**32) wraps
+    if len(body) != math.prod(dims) * 8:
         raise BundleFormatError(f"section {name}: array payload size mismatch")
     return np.frombuffer(body, dtype=dtype).reshape(dims).copy()
 
@@ -516,20 +502,20 @@ def load_bundle(path: str | Path) -> ModelBundle:
             )
             for k in range(max(0, n_layers - 1))
         ]
-        stack = (
-            ConvStack(layers=tuple(layers), rediscretizers=tuple(rediscs))
-            if n_layers
-            else None
-        )
         weights = tuple(
             _get_array(sections, f"clf/w{i}") for i in range(int(man["n_weights"]))
         )
-        features_mode = man.get("features_mode", "last")
+        features_mode = man["features_mode"]
     except KeyError as exc:
         raise BundleFormatError(f"{path}: manifest is missing {exc}") from exc
     except (ValueError, ConfigError) as exc:
         raise BundleFormatError(f"{path}: malformed manifest value: {exc}") from exc
     try:
+        stack = (
+            ConvStack(layers=tuple(layers), rediscretizers=tuple(rediscs))
+            if n_layers
+            else None
+        )
         return ModelBundle(
             input_grid=grid,
             discretizer=disc,

@@ -154,15 +154,3 @@ def backward_drop(data: DiscreteDataset, initial_subset: tuple[int, ...]) -> Bda
         if step.score > best.score:
             best = step
     return BdaTrace(steps=tuple(steps), best_subset=best.subset, best_score=best.score)
-
-
-def trace_report(trace: BdaTrace) -> str:
-    """Plain-text trajectory table with 1-based variable names."""
-    lines = [f"{'step':>4}  {'dropped':>8}  {'score':>12}  surviving"]
-    for i, step in enumerate(trace.steps):
-        dropped = "-" if step.dropped is None else f"X{step.dropped + 1}"
-        names = " ".join(f"X{j + 1}" for j in step.subset)
-        lines.append(f"{i:>4}  {dropped:>8}  {step.score:>12.4f}  {names}")
-    best = " ".join(f"X{j + 1}" for j in trace.best_subset)
-    lines.append(f"best: {best} (score {trace.best_score:.4f})")
-    return "\n".join(lines)

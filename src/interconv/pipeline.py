@@ -1,7 +1,7 @@
 """End-to-end orchestration: binarize, fit the window stack, train, predict.
 
-A `PipelineConfig` is validated in full (geometry chain included) before any
-work starts, so an invalid configuration can never leave partial outputs.
+A `PipelineConfig` checks its own values; the window geometry needs the data
+width, so `fit_pipeline` checks the chain of grids before any fitting starts.
 """
 
 from __future__ import annotations

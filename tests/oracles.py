@@ -7,7 +7,8 @@ The exceptions are `reference_window_feature`, which composes the package's
 own per-window reference functions to pin the lockstep layer fit, and
 `preset_architecture`, which reads the package's presets and geometry.
 `with_manifest` and `with_arrays` rewrite a saved bundle's manifest and
-array sections, parsing the file format by hand.
+array sections, parsing the file format by hand; `trace_report` prints a
+backward dropping trajectory.
 """
 
 import itertools
@@ -289,3 +290,16 @@ def with_arrays(path, **sections):
 
     missing = set(sections) - set(_rewrite_sections(path, edit))
     assert not missing, f"bundle has no sections {sorted(missing)}"
+
+
+def trace_report(trace):
+    """A `backward_drop` trajectory as a plain-text table with 1-based
+    variable names."""
+    lines = [f"{'step':>4}  {'dropped':>8}  {'score':>12}  surviving"]
+    for i, step in enumerate(trace.steps):
+        dropped = "-" if step.dropped is None else f"X{step.dropped + 1}"
+        names = " ".join(f"X{j + 1}" for j in step.subset)
+        lines.append(f"{i:>4}  {dropped:>8}  {step.score:>12.4f}  {names}")
+    best = " ".join(f"X{j + 1}" for j in trace.best_subset)
+    lines.append(f"best: {best} (score {trace.best_score:.4f})")
+    return "\n".join(lines)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import brute_force_best_subset, naive_influence
+from oracles import brute_force_best_subset, naive_influence, trace_report
 
 from conftest import binary_dataset
-from interconv import DiscreteDataset, backward_drop, influence_score, trace_report
+from interconv import DiscreteDataset, backward_drop, influence_score
 
 
 def test_trace_structure(rng):

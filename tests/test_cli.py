@@ -305,6 +305,20 @@ def test_bad_numeric_value_exits_2(tmp_path, capsys, setting):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize(
+    "command, setting",
+    [("fit", "noise_sd=nan"), ("fit", "test_per_class=abc"), ("fit", "synth_train=-5"), ("synth", "epochs=abc")],
+)
+def test_every_subcommand_checks_every_config_key(tmp_path, capsys, synth_dir, command, setting):
+    # none of these keys is read by the subcommand's own work
+    out = tmp_path / "x"
+    train = ["--set", f"train={synth_dir / 'train.csv'}"] if command == "fit" else []
+    code, _, err = run(capsys, command, "--out", str(out), *train, "--set", setting)
+    assert code == 2
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_negative_synth_seed_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "synth", "--out", str(tmp_path / "x"), "--seed", "-1")
     assert code == 2

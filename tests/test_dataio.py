@@ -1,7 +1,9 @@
 """Image corpora, dataset CSVs, and byte-exact model bundle persistence."""
 
 import dataclasses
+import hashlib
 import re
+import struct
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -15,8 +17,12 @@ from interconv import (
     ConfigError,
     ConvStack,
     DataError,
+    Discretizer,
+    FittedConvLayer,
     GridShape,
     ImageSet,
+    MlpArchitecture,
+    ModelBundle,
     ParityModelSpec,
     PipelineConfig,
     RealDataset,
@@ -569,6 +575,38 @@ BAD_BUNDLES = {
         lambda b: {"clf/w1": np.full_like(b.weights[1], -np.inf)},
         "a classifier weight is not finite",
     ),
+    # a 2x17 grid gives a 2x2 window 16 positions, as many as the real 5x5
+    # input of layer 1, so only the chain tells the two apart
+    "layer 1 on a grid other than layer 0's output": BadBundle(
+        lambda b: dataclasses.replace(
+            b,
+            stack=dataclasses.replace(
+                b.stack,
+                layers=(
+                    b.stack.layers[0],
+                    dataclasses.replace(b.stack.layers[1], input_grid=GridShape(2, 17), level_counts=np.full(34, 2)),
+                ),
+            ),
+        ),
+        {"layer1_in_rows": "2", "layer1_in_cols": "17"},
+        lambda b: {"layer1/level_counts": np.full(34, 2)},
+        "layer 1's input grid 2x17 is not layer 0's output grid 5x5",
+    ),
+    "discretizer but no window layers": BadBundle(
+        lambda b: dataclasses.replace(b, stack=None, input_grid=None),
+        {"n_layers": "0", "input_rows": None, "input_cols": None},
+        lambda b: {},
+        "bundle has a discretizer or input grid but no window layers",
+    ),
+    "input grid but no window layers": BadBundle(
+        lambda b: dataclasses.replace(b, stack=None, discretizer=None),
+        {"n_layers": "0", "discretizer": None, "discretizer_param": None},
+        lambda b: {},
+        "bundle has a discretizer or input grid but no window layers",
+    ),
+    "manifest without a features mode": BadBundle(
+        None, {"features_mode": None}, lambda b: {}, "manifest is missing 'features_mode'"
+    ),
 }
 
 
@@ -607,6 +645,21 @@ def test_discretizer_errors_at_load_name_the_discretizer(tmp_path):
     expected = re.escape(f"{path}: redisc0: discretizer parameter must be finite")
     with pytest.raises(BundleFormatError, match=expected):
         load_bundle(path)
+
+
+def test_array_dims_whose_int64_product_wraps_are_refused(tmp_path):
+    bundle, _ = fitted_bundle()
+    path = tmp_path / "model.bundle"
+    save_bundle(bundle, path)
+
+    def edit(name, kind, payload):
+        # dims (2**32, 2**32) and no values: the int64 product of the dims is 0
+        return kind, struct.pack("<B2Q", 2, 2**32, 2**32) if name == "clf/w0" else payload
+
+    _rewrite_sections(path, edit)
+    with pytest.raises(BundleFormatError, match="section clf/w0: array payload size mismatch") as info:
+        load_bundle(path)
+    assert "manifest" not in str(info.value)
 
 
 def test_bundle_with_an_empty_stack_is_refused():
@@ -732,3 +785,56 @@ def test_imageset_validation():
             sources=("a",),
             grid=GridShape(1, 2),
         )
+
+
+def hand_built_bundle():
+    """A one-layer bundle with every number written out: a 3x3 grid and 2x2
+    windows at stride 1, so no fit numerics are involved."""
+    layer = FittedConvLayer(
+        input_grid=GridShape(3, 3),
+        spec=WindowSpec(2, 1),
+        level_counts=np.full(9, 2, dtype=np.int64),
+        subset_len=np.array([1, 2, 4, 1], dtype=np.int64),
+        subset_flat=np.array([0, 1, 4, 3, 4, 6, 7, 8], dtype=np.int64),
+        ncells=np.array([2, 3, 2, 1], dtype=np.int64),
+        cell_keys=np.array([0, 1, 0, 2, 3, 5, 14, 1], dtype=np.int64),
+        cell_means=np.array([0.25, 0.75, 0.0, 0.5, 1.0, 0.125, 0.875, 0.5]),
+        fallback=np.full(4, 0.5),
+        iscore=np.array([1.5, 0.25, 3.0, 0.0]),
+        auc=np.array([0.75, 0.5, 0.875, np.nan]),
+    )
+    return ModelBundle(
+        input_grid=GridShape(3, 3),
+        discretizer=Discretizer("global", np.full(9, 0.5), 0.5),
+        stack=ConvStack((layer,), ()),
+        features_mode="last",
+        arch=MlpArchitecture(4, 3, 2),
+        weights=(np.arange(12).reshape(4, 3) / 8 - 0.5, np.arange(6).reshape(3, 2) / 4 - 0.75),
+        hyper=TrainingHyper(learning_rate=0.01, epochs=3, seed=7),
+    )
+
+
+# SHA-256 of `save_bundle(hand_built_bundle(), ...)`: the format version 1
+# bytes, section order, manifest keys and number spelling included
+HAND_BUILT_SHA256 = "4b639784af8c013bcdb6e7ce9899b0609c907675a61d4cb0a91ad55802a69a5e"
+
+
+def test_hand_built_bundle_bytes_are_pinned(tmp_path):
+    bundle = hand_built_bundle()
+    path = tmp_path / "model.bundle"
+    save_bundle(bundle, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == HAND_BUILT_SHA256
+    loaded = load_bundle(path)
+    (la,), (lb,) = bundle.stack.layers, loaded.stack.layers
+    assert (lb.input_grid, lb.spec) == (la.input_grid, la.spec)
+    for name in LAYER_ARRAYS:
+        a, b = getattr(la, name), getattr(lb, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    disc = loaded.discretizer
+    assert (disc.method, disc.param) == ("global", 0.5)
+    assert disc.thresholds.tobytes() == bundle.discretizer.thresholds.tobytes()
+    assert [w.tobytes() for w in loaded.weights] == [w.tobytes() for w in bundle.weights]
+    assert (loaded.input_grid, loaded.features_mode, loaded.arch, loaded.hyper) == (
+        bundle.input_grid, bundle.features_mode, bundle.arch, bundle.hyper
+    )
+    assert loaded.stack.rediscretizers == ()
