@@ -211,10 +211,11 @@ def read_config(args: argparse.Namespace):
     """The resolved keys, every one checked before any output: (keys, pipeline
     config, generator spec, (test_per_class, augment_per_class, noise_sd))."""
     raw = resolve_config(args)
-    target = _parse_int(raw, "augment_per_class")
-    if target < 0:
-        raise ConfigError(f"augment_per_class must be >= 0, got {target}")
-    images = _parse_int(raw, "test_per_class"), target, _parse_float(raw, "noise_sd")
+    keys = ("test_per_class", "augment_per_class", "noise_sd")
+    images = _parse_int(raw, keys[0]), _parse_int(raw, keys[1]), _parse_float(raw, keys[2])
+    for key, value in zip(keys, images):
+        if value < 0:  # refused even where the run reads no images
+            raise ConfigError(f"{key} must be >= 0, got {value}")
     return raw, build_pipeline_config(raw), build_synth_spec(raw), images
 
 

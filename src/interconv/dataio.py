@@ -406,24 +406,24 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
     Path(path).write_bytes(b"".join([head, *sections]))
 
 
-def _get_array(sections: dict[str, tuple[int, bytes]], name: str) -> np.ndarray:
+def _get_array(path: Path, sections: dict[str, tuple[int, bytes]], name: str) -> np.ndarray:
     if name not in sections:
-        raise BundleFormatError(f"bundle is missing section {name}")
+        raise BundleFormatError(f"{path}: bundle is missing section {name}")
     kind, payload = sections[name]
     if kind not in (_KIND_F64, _KIND_I64):
-        raise BundleFormatError(f"section {name} is not an array")
+        raise BundleFormatError(f"{path}: section {name} is not an array")
     if len(payload) < 1:
-        raise BundleFormatError(f"section {name}: truncated array header")
+        raise BundleFormatError(f"{path}: section {name}: truncated array header")
     ndim = payload[0]
     head_len = 1 + 8 * ndim
     if len(payload) < head_len:
-        raise BundleFormatError(f"section {name}: truncated array dims")
+        raise BundleFormatError(f"{path}: section {name}: truncated array dims")
     dims = struct.unpack_from(f"<{ndim}Q", payload, 1)
     dtype = "<f8" if kind == _KIND_F64 else "<i8"
     body = payload[head_len:]
     # Python integers: an int64 product of dims such as (2**32, 2**32) wraps
     if len(body) != math.prod(dims) * 8:
-        raise BundleFormatError(f"section {name}: array payload size mismatch")
+        raise BundleFormatError(f"{path}: section {name}: array payload size mismatch")
     return np.frombuffer(body, dtype=dtype).reshape(dims).copy()
 
 
@@ -435,7 +435,7 @@ def _get_discretizer(
     and the array section `thresholds`; one it refuses is reported under
     its own name, not as a manifest value."""
     value = man[param]
-    args = man[method], _get_array(sections, thresholds), None if value == "none" else float(value)
+    args = man[method], _get_array(path, sections, thresholds), None if value == "none" else float(value)
     try:
         return Discretizer(*args)
     except ConfigError as exc:
@@ -491,7 +491,7 @@ def load_bundle(path: str | Path) -> ModelBundle:
                 start=int(man[f"layer{k}_start"]),
             )
             in_grid = GridShape(int(man[f"layer{k}_in_rows"]), int(man[f"layer{k}_in_cols"]))
-            arrays = {name: _get_array(sections, f"layer{k}/{name}") for name in LAYER_ARRAYS}
+            arrays = {name: _get_array(path, sections, f"layer{k}/{name}") for name in LAYER_ARRAYS}
             try:
                 layers.append(FittedConvLayer(input_grid=in_grid, spec=spec, **arrays))
             except DataError as exc:
@@ -503,7 +503,7 @@ def load_bundle(path: str | Path) -> ModelBundle:
             for k in range(max(0, n_layers - 1))
         ]
         weights = tuple(
-            _get_array(sections, f"clf/w{i}") for i in range(int(man["n_weights"]))
+            _get_array(path, sections, f"clf/w{i}") for i in range(int(man["n_weights"]))
         )
         features_mode = man["features_mode"]
     except KeyError as exc:

@@ -4,10 +4,13 @@ Architectures are input -> (optional sigmoid hidden layer) -> output, with no
 bias terms anywhere. A 1-unit output applies a sigmoid; a 2-unit output
 applies a softmax and the predicted probability is the class-1 coordinate.
 Loss is binary cross-entropy on that probability, gradients are exact, and
-updates follow RMSprop:
+updates follow RMSprop in place, in this float order:
 
-    v <- decay * v + (1 - decay) * g^2
-    w <- w - lr * g / (sqrt(v) + 1e-8)
+    v *= decay; v += (1 - decay) * g * g
+    w -= lr * g / (sqrt(v) + 1e-8)
+
+A training step computes no batch loss and checks nothing `train` checked;
+`loss_and_gradients` and `rmsprop_step` are its checked, copying forms.
 """
 
 from __future__ import annotations
@@ -160,6 +163,16 @@ def bce_loss(y_true, y_prob) -> float:
     return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
 
 
+def _gradients(model: MlpModel, x: np.ndarray, onehot: np.ndarray, hidden, probs) -> tuple:
+    """Exact mean-BCE gradients from a checked batch, its (1 - y, y) labels
+    and its forward pass; a 1-unit output is scored against y alone."""
+    dz_out = (probs - onehot[:, -probs.shape[1] :]) / x.shape[0]
+    if hidden is None:
+        return (x.T @ dz_out,)
+    dz_hidden = (dz_out @ model.weights[1].T) * hidden * (1.0 - hidden)
+    return (x.T @ dz_hidden, hidden.T @ dz_out)
+
+
 def loss_and_gradients(
     model: MlpModel, features: np.ndarray, y_true: np.ndarray
 ) -> tuple[float, tuple[np.ndarray, ...]]:
@@ -168,37 +181,26 @@ def loss_and_gradients(
     y = np.asarray(y_true, dtype=np.float64).ravel()
     if y.shape[0] != x.shape[0]:
         raise DataError("feature rows and labels differ in length")
-    n = x.shape[0]
     hidden, probs = _forward_parts(model, x)
     loss = bce_loss(y, probs[:, -1])
+    return loss, _gradients(model, x, np.column_stack([1.0 - y, y]), hidden, probs)
 
-    if model.arch.output_units == 1:
-        dz_out = (probs[:, 0] - y)[:, np.newaxis] / n
-    else:
-        onehot = np.column_stack([1.0 - y, y])
-        dz_out = (probs - onehot) / n
 
-    if model.arch.hidden is None:
-        grads = (x.T @ dz_out,)
-    else:
-        d_w2 = hidden.T @ dz_out
-        d_hidden = dz_out @ model.weights[1].T
-        dz_hidden = d_hidden * hidden * (1.0 - hidden)
-        grads = (x.T @ dz_hidden, d_w2)
-    return loss, grads
+def _rmsprop_update(weights: tuple, state: tuple, grads: tuple, hyper: TrainingHyper) -> None:
+    """One RMSprop update of `weights` and `state`, in place."""
+    lr, decay = hyper.learning_rate, hyper.decay
+    for w, v, g in zip(weights, state, grads, strict=True):
+        v *= decay
+        v += (1.0 - decay) * g * g
+        w -= lr * g / (np.sqrt(v) + RMS_EPS)
 
 
 def rmsprop_step(model: MlpModel, grads: tuple[np.ndarray, ...]) -> MlpModel:
-    """One RMSprop update; returns the updated model."""
-    lr, decay = model.hyper.learning_rate, model.hyper.decay
-    new_state = tuple(
-        decay * v + (1.0 - decay) * g * g for v, g in zip(model.rms_state, grads)
-    )
-    new_weights = tuple(
-        w - lr * g / (np.sqrt(v) + RMS_EPS)
-        for w, g, v in zip(model.weights, grads, new_state)
-    )
-    return MlpModel(arch=model.arch, weights=new_weights, rms_state=new_state, hyper=model.hyper)
+    """One RMSprop update; returns the updated model and leaves `model` as it was."""
+    weights = tuple(w.copy() for w in model.weights)
+    state = tuple(v.copy() for v in model.rms_state)
+    _rmsprop_update(weights, state, grads, model.hyper)
+    return MlpModel(arch=model.arch, weights=weights, rms_state=state, hyper=model.hyper)
 
 
 @dataclass(frozen=True)
@@ -221,11 +223,13 @@ def train(
     untouched. A non-finite loss aborts immediately.
     """
     hyper = hyper or TrainingHyper()
-    if data.width != arch.input_width:
-        raise DataError(f"architecture expects {arch.input_width} features, data has {data.width}")
+    for name, each in (("data", data), ("validation data", val_data)):
+        if each is not None and each.width != arch.input_width:
+            raise DataError(f"architecture expects {arch.input_width} features, {name} has {each.width}")
     rng = np.random.default_rng(hyper.seed)
     model = init_model(arch, hyper, rng=rng)
     x, y = data.features, data.response.astype(np.float64)
+    onehot = np.column_stack([1.0 - y, y])
     n = x.shape[0]
     train_losses: list[float] = []
     val_losses: list[float] = []
@@ -233,8 +237,9 @@ def train(
         order = rng.permutation(n)
         for lo in range(0, n, hyper.batch_size):
             batch = order[lo : lo + hyper.batch_size]
-            _, grads = loss_and_gradients(model, x[batch], y[batch])
-            model = rmsprop_step(model, grads)
+            xb = x[batch]
+            grads = _gradients(model, xb, onehot[batch], *_forward_parts(model, xb))
+            _rmsprop_update(model.weights, model.rms_state, grads, hyper)
         epoch_loss = bce_loss(y, forward(model, x))
         if not np.isfinite(epoch_loss):
             raise NumericError(

@@ -278,6 +278,7 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
         "decay=nan",
         "noise_sd=nan",
         "noise_sd=inf",
+        "noise_sd=-1",
         "discretizer=global:nan",
         "discretizer=global:-inf",
         "hidden=0",
@@ -307,14 +308,22 @@ def test_bad_numeric_value_exits_2(tmp_path, capsys, setting):
 
 @pytest.mark.parametrize(
     "command, setting",
-    [("fit", "noise_sd=nan"), ("fit", "test_per_class=abc"), ("fit", "synth_train=-5"), ("synth", "epochs=abc")],
+    [
+        ("fit", "noise_sd=nan"),
+        ("fit", "noise_sd=-1"),
+        ("fit", "test_per_class=abc"),
+        ("fit", "test_per_class=-2"),
+        ("fit", "synth_train=-5"),
+        ("synth", "epochs=abc"),
+    ],
 )
 def test_every_subcommand_checks_every_config_key(tmp_path, capsys, synth_dir, command, setting):
     # none of these keys is read by the subcommand's own work
     out = tmp_path / "x"
     train = ["--set", f"train={synth_dir / 'train.csv'}"] if command == "fit" else []
-    code, _, err = run(capsys, command, "--out", str(out), *train, "--set", setting)
+    code, stdout, err = run(capsys, command, "--out", str(out), *train, "--set", setting)
     assert code == 2
+    assert stdout == ""
     assert "Traceback" not in err
     assert not out.exists()
 

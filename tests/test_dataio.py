@@ -662,6 +662,31 @@ def test_array_dims_whose_int64_product_wraps_are_refused(tmp_path):
     assert "manifest" not in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "section, complaint",
+    [
+        (None, "bundle is missing section clf/w2"),
+        ((0, b"text"), "section clf/w0 is not an array"),
+        ((1, b""), "section clf/w0: truncated array header"),
+        ((1, struct.pack("<BQ", 2, 5)), "section clf/w0: truncated array dims"),
+        ((1, struct.pack("<B2Q", 2, 2, 2) + bytes(8)), "section clf/w0: array payload size mismatch"),
+    ],
+    ids=["missing", "text", "no-header", "short-dims", "short-payload"],
+)
+def test_array_section_errors_name_the_bundle(tmp_path, section, complaint):
+    bundle, _ = fitted_bundle()
+    path = tmp_path / "model.bundle"
+    save_bundle(bundle, path)
+    if section is None:
+        with_manifest(path, n_weights=str(len(bundle.weights) + 1))
+    else:
+        _rewrite_sections(path, lambda name, kind, payload: section if name == "clf/w0" else (kind, payload))
+    with pytest.raises(BundleFormatError) as info:
+        load_bundle(path)
+    assert str(info.value).startswith(f"{path}: ")
+    assert complaint in str(info.value)
+
+
 def test_bundle_with_an_empty_stack_is_refused():
     bundle, _ = fitted_bundle()
     with pytest.raises(DataError, match="window stack with no layers"):

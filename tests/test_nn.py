@@ -1,6 +1,8 @@
 """Classifier math: exact architecture sizes, gradients against central
-finite differences, and frozen RMSprop update values."""
+finite differences, frozen RMSprop update values, `train` against a replay
+with the public step, and one fit's trained numbers pinned by hash."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -9,12 +11,18 @@ from oracles import finite_difference_grads
 
 from interconv import (
     ConfigError,
+    DataError,
     MlpArchitecture,
     NumericError,
+    ParityModelSpec,
+    PipelineConfig,
     RealDataset,
     TrainingHyper,
+    WindowSpec,
     bce_loss,
+    fit_pipeline,
     forward,
+    generate,
     init_model,
     loss_and_gradients,
     param_count,
@@ -213,6 +221,49 @@ def test_init_and_shuffling_share_one_stream():
     assert result.train_losses == (bce_loss(y, forward(model, data.features)),)
 
 
+@pytest.mark.parametrize("hidden", [None, 3])
+@pytest.mark.parametrize("output_units", [1, 2])
+def test_train_matches_a_replay_by_hand(hidden, output_units):
+    """Three epochs replayed with the public, checked and copying, step:
+    `train`'s in-place step without a batch loss must agree bitwise."""
+    data, val = _separable_data(n=100, seed=1), _separable_data(n=30, seed=2)
+    arch = MlpArchitecture(input_width=4, hidden=hidden, output_units=output_units)
+    hyper = TrainingHyper(epochs=3, batch_size=32, seed=6)  # 100 rows: a last batch of 4
+    result = train(arch, data, hyper, val_data=val)
+    rng = np.random.default_rng(hyper.seed)
+    model = init_model(arch, hyper, rng=rng)
+    y = data.response.astype(np.float64)
+    train_losses, val_losses = [], []
+    for _ in range(hyper.epochs):
+        order = rng.permutation(data.n)
+        for lo in range(0, data.n, hyper.batch_size):
+            batch = order[lo : lo + hyper.batch_size]
+            loss, grads = loss_and_gradients(model, data.features[batch], y[batch])
+            assert loss == bce_loss(y[batch], forward(model, data.features[batch]))
+            before = [a.copy() for a in model.weights + model.rms_state]
+            stepped = rmsprop_step(model, grads)
+            for a, b in zip(model.weights + model.rms_state, before, strict=True):
+                assert np.array_equal(a, b)
+            model = stepped
+        train_losses.append(bce_loss(y, forward(model, data.features)))
+        val_losses.append(bce_loss(val.response, forward(model, val.features)))
+    for a, b in zip(result.model.weights + result.model.rms_state, model.weights + model.rms_state, strict=True):
+        assert a.tobytes() == b.tobytes()
+    assert np.array(result.train_losses).tobytes() == np.array(train_losses).tobytes()
+    assert np.array(result.val_losses).tobytes() == np.array(val_losses).tobytes()
+
+
+def test_validation_width_is_checked_before_training():
+    data = _separable_data()
+    val = RealDataset(np.zeros((5, 3)), np.array([0, 1, 0, 1, 0]))
+    arch = MlpArchitecture(input_width=4, hidden=None, output_units=2)
+    # with a learning rate this large, a first epoch would diverge and raise
+    # NumericError before forward could see the width
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DataError, match="4 features, validation data has 3"):
+            train(arch, data, TrainingHyper(learning_rate=1e307, epochs=3), val_data=val)
+
+
 def test_validation_losses_recorded():
     data = _separable_data(seed=1)
     val = _separable_data(seed=2)
@@ -260,3 +311,22 @@ def test_hyper_validation_bounds():
         TrainingHyper(epochs=-1)
     with pytest.raises(ConfigError):
         TrainingHyper(batch_size=0)
+
+
+# SHA-256 of the trained weights' bytes followed by the train_losses bytes
+# for the fit below; any change to training arithmetic, however small,
+# changes it
+TRAINED_SHA256 = "ebca7f9a84cd060c3815923ab31acf62e84d0e123908f1b95258b6d8b463dcb1"
+
+
+def test_trained_weights_and_losses_are_pinned():
+    rows, _ = generate(ParityModelSpec(seed=1))
+    data = RealDataset(rows.features.astype(np.float64), rows.response)
+    config = PipelineConfig(discretizer="global:0.5", layers=(WindowSpec(window=2, stride=1),))
+    _, report = fit_pipeline(config, data)
+    result = report.train_result
+    digest = hashlib.sha256()
+    for w in result.model.weights:
+        digest.update(w.tobytes())
+    digest.update(np.array(result.train_losses).tobytes())
+    assert digest.hexdigest() == TRAINED_SHA256
