@@ -15,6 +15,7 @@ import argparse
 import csv
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,6 @@ from .pipeline import (
     evaluate_bundle,
     fit_pipeline,
     format_report,
-    geometry_chain,
     geometry_line,
     layer_maps,
     predict_bundle,
@@ -44,7 +44,6 @@ from .pipeline import (
 def _config_values(config: PipelineConfig) -> dict[str, str]:
     """The pipeline and training keys of `config`, as a config file spells them."""
     grid = "" if config.grid is None else f"{config.grid.rows}x{config.grid.cols}"
-    hyper = config.hyper
     return {
         "grid": grid,
         "discretizer": config.discretizer,
@@ -53,11 +52,7 @@ def _config_values(config: PipelineConfig) -> dict[str, str]:
         "features": config.features_mode,
         "hidden": "none" if config.hidden is None else str(config.hidden),
         "output_units": str(config.output_units),
-        "learning_rate": str(hyper.learning_rate),
-        "decay": str(hyper.decay),
-        "epochs": str(hyper.epochs),
-        "batch_size": str(hyper.batch_size),
-        "seed": str(hyper.seed),
+        **{f.name: str(getattr(config.hyper, f.name)) for f in fields(TrainingHyper)},
         "workers": str(config.workers),
     }
 
@@ -187,13 +182,9 @@ def resolve_config(args: argparse.Namespace) -> dict[str, str]:
 
 def build_pipeline_config(raw: dict[str, str]) -> PipelineConfig:
     hidden = None if raw["hidden"] in ("", "none") else _parse_int(raw, "hidden")
-    hyper = TrainingHyper(
-        learning_rate=_parse_float(raw, "learning_rate"),
-        decay=_parse_float(raw, "decay"),
-        epochs=_parse_int(raw, "epochs"),
-        batch_size=_parse_int(raw, "batch_size"),
-        seed=_parse_int(raw, "seed"),
-    )
+    # each training key is parsed as its field is annotated, float or int
+    parse = {"float": _parse_float, "int": _parse_int}
+    hyper = TrainingHyper(**{f.name: parse[f.type](raw, f.name) for f in fields(TrainingHyper)})
     return PipelineConfig(
         grid=_parse_grid(raw["grid"]) if raw["grid"] else None,
         discretizer=raw["discretizer"],
@@ -307,8 +298,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     val_data = dataio.read_dataset_csv(raw["val"]) if raw["val"] else None
     # validate the full geometry chain before creating any output
     if config.layers:
-        grid = resolve_grid(config, data.width)
-        geometry_chain(grid, config.layers)
+        resolve_grid(config, data.width)
     out = _out_dir(args)
     write_resolved(out, raw)
     bundle, report = fit_pipeline(config, data, val_data)

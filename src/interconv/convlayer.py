@@ -167,25 +167,31 @@ class FittedConvLayer:
         code for a row is the sum over its subset of level * radix, plus
         offset[w], and `table` at that code is the row's engineered value.
         """
-        sizes = self.level_counts[self.subset_flat]
-        starts = np.cumsum(self.subset_len) - self.subset_len
-        rank = np.arange(len(sizes)) - np.repeat(starts, self.subset_len)
-        radix = np.ones_like(sizes)
-        for r in range(1, int(self.subset_len.max())):
-            at = np.flatnonzero(rank == r)
-            radix[at] = radix[at - 1] * sizes[at - 1]
-        space = np.multiply.reduceat(sizes, starts)  # at most 2**62, as __post_init__ enforces
+        # every subset padded to one width with level count 1, which changes no product
+        sizes = np.ones((self.n_windows, int(self.subset_len.max())), dtype=np.int64)
+        held = np.arange(sizes.shape[1]) < self.subset_len[:, np.newaxis]
+        sizes[held] = self.level_counts[self.subset_flat]
+        radix = _place_values(sizes)
+        space = radix[:, -1] * sizes[:, -1]  # at most 2**62, as __post_init__ enforces
         # capped per window first, so the sum cannot overflow
         if (space > TABLE_LIMIT).any() or space.sum() > TABLE_LIMIT:
             return None
         offset = np.cumsum(space) - space
         table = np.repeat(self.fallback, space)
         table[np.repeat(offset, self.ncells) + self.cell_keys] = self.cell_means
-        return radix, starts, offset, table
+        return radix[held], np.cumsum(self.subset_len) - self.subset_len, offset, table
 
 
 # Most entries (8 bytes each) a layer's dense lookup table may hold.
 TABLE_LIMIT = 2**20
+
+
+def _place_values(sizes: np.ndarray) -> np.ndarray:
+    """Mixed-radix place value of every position of each row of level counts
+    `sizes`: the product of the counts before it in its row."""
+    radix = np.ones_like(sizes)
+    np.cumprod(sizes[:, :-1], axis=1, out=radix[:, 1:])
+    return radix
 
 
 def _drop_one(size: int) -> np.ndarray:
@@ -209,9 +215,7 @@ def _group_cells(
     `encode_cells` keys them) over the rows of `data`: ascending keys, row
     counts and positive counts, flat in window order, plus each window's
     number of cells. The only step of a fit that reads rows."""
-    sizes = data.level_counts[windows]
-    radix = np.ones_like(sizes)
-    np.cumprod(sizes[:, :-1], axis=1, out=radix[:, 1:])
+    radix = _place_values(data.level_counts[windows])
     # widened here, where keys are built: levels may be stored as uint8, and
     # `keys +=` cannot cast into uint8; the products below promote by themselves
     keys = np.take(data.features, windows[:, 0], axis=1).astype(np.int64, copy=False)
@@ -245,8 +249,7 @@ def _drop_cells(
     read.
     """
     n_sub, size = sizes.shape
-    radix = np.ones_like(sizes)
-    np.cumprod(sizes[:, :-1], axis=1, out=radix[:, 1:])
+    radix = _place_values(sizes)
     # each subset's cells padded to one width by repeating its last cell; the
     # padding reads its counts from a zero cell appended past the end, so it
     # adds nothing to the run it joins

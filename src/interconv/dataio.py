@@ -16,7 +16,7 @@ import csv
 import math
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -93,15 +93,15 @@ def _read_image_matrix(path: Path) -> np.ndarray:
     raise DataError(f"{path}: unsupported image format (want .pgm or .csv)")
 
 
-def load_images(manifest: str | Path, root: str | Path | None = None) -> ImageSet:
+def load_images(manifest: str | Path) -> ImageSet:
     """Read a labeled corpus from a manifest CSV of `path,label` rows.
 
-    Paths are resolved relative to `root` (default: the manifest's
-    directory). Every image must share the dimensions of the first; raw
-    values are scaled by 1/255 into [0, 1].
+    Paths are resolved relative to the manifest's directory. Every image
+    must share the dimensions of the first; raw values are scaled by 1/255
+    into [0, 1].
     """
     manifest = Path(manifest)
-    base = Path(root) if root is not None else manifest.parent
+    base = manifest.parent
     rows: list[tuple[str, int]] = []
     try:
         with open(manifest, newline="", encoding="utf-8") as fh:
@@ -360,6 +360,11 @@ def _read_sections(path: Path) -> dict[str, tuple[int, bytes]]:
 
 
 def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
+    # The hyper_<field> and layer{k}_<field> keys mirror the fields of
+    # TrainingHyper and WindowSpec, in field order, so adding or renaming a
+    # field is a bundle-format change; the tests' SHA-256 pin of a bundle's
+    # bytes catches an accidental one. Numbers are written with str, which is
+    # repr for a Python float and spells a numpy scalar the same way.
     sections: list[bytes] = []
     man: dict[str, str] = {
         "format_version": str(FORMAT_VERSION),
@@ -367,11 +372,7 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
         "arch_input": str(bundle.arch.input_width),
         "arch_hidden": "none" if bundle.arch.hidden is None else str(bundle.arch.hidden),
         "arch_output": str(bundle.arch.output_units),
-        "hyper_learning_rate": repr(bundle.hyper.learning_rate),
-        "hyper_decay": repr(bundle.hyper.decay),
-        "hyper_epochs": str(bundle.hyper.epochs),
-        "hyper_batch_size": str(bundle.hyper.batch_size),
-        "hyper_seed": str(bundle.hyper.seed),
+        **{f"hyper_{f.name}": str(getattr(bundle.hyper, f.name)) for f in fields(TrainingHyper)},
         "n_weights": str(len(bundle.weights)),
     }
     if bundle.input_grid is not None:
@@ -380,15 +381,14 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
     if bundle.discretizer is not None:
         man["discretizer"] = bundle.discretizer.method
         man["discretizer_param"] = (
-            "none" if bundle.discretizer.param is None else repr(bundle.discretizer.param)
+            "none" if bundle.discretizer.param is None else str(bundle.discretizer.param)
         )
         sections.append(_array_section("disc/thresholds", bundle.discretizer.thresholds))
     layers = bundle.stack.layers if bundle.stack is not None else ()
     man["n_layers"] = str(len(layers))
     for k, layer in enumerate(layers):
-        man[f"layer{k}_window"] = str(layer.spec.window)
-        man[f"layer{k}_stride"] = str(layer.spec.stride)
-        man[f"layer{k}_start"] = str(layer.spec.start)
+        for f in fields(WindowSpec):
+            man[f"layer{k}_{f.name}"] = str(getattr(layer.spec, f.name))
         man[f"layer{k}_in_rows"] = str(layer.input_grid.rows)
         man[f"layer{k}_in_cols"] = str(layer.input_grid.cols)
         for name in LAYER_ARRAYS:
@@ -396,7 +396,7 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
     rediscs = bundle.stack.rediscretizers if bundle.stack is not None else ()
     for k, disc in enumerate(rediscs):
         man[f"redisc{k}_method"] = disc.method
-        man[f"redisc{k}_param"] = "none" if disc.param is None else repr(disc.param)
+        man[f"redisc{k}_param"] = "none" if disc.param is None else str(disc.param)
         sections.append(_array_section(f"redisc{k}/thresholds", disc.thresholds))
     for i, weight in enumerate(bundle.weights):
         sections.append(_array_section(f"clf/w{i}", weight))
@@ -465,12 +465,9 @@ def load_bundle(path: str | Path) -> ModelBundle:
             hidden=None if hidden == "none" else int(hidden),
             output_units=int(man["arch_output"]),
         )
+        parse = {"float": float, "int": int}  # as each field is annotated
         hyper = TrainingHyper(
-            learning_rate=float(man["hyper_learning_rate"]),
-            decay=float(man["hyper_decay"]),
-            epochs=int(man["hyper_epochs"]),
-            batch_size=int(man["hyper_batch_size"]),
-            seed=int(man["hyper_seed"]),
+            **{f.name: parse[f.type](man[f"hyper_{f.name}"]) for f in fields(TrainingHyper)}
         )
         grid = None
         if "input_rows" in man:
@@ -485,11 +482,7 @@ def load_bundle(path: str | Path) -> ModelBundle:
             raise BundleFormatError(f"{path}: layer count {n_layers} is negative")
         layers: list[FittedConvLayer] = []
         for k in range(n_layers):
-            spec = WindowSpec(
-                window=int(man[f"layer{k}_window"]),
-                stride=int(man[f"layer{k}_stride"]),
-                start=int(man[f"layer{k}_start"]),
-            )
+            spec = WindowSpec(**{f.name: int(man[f"layer{k}_{f.name}"]) for f in fields(WindowSpec)})
             in_grid = GridShape(int(man[f"layer{k}_in_rows"]), int(man[f"layer{k}_in_cols"]))
             arrays = {name: _get_array(path, sections, f"layer{k}/{name}") for name in LAYER_ARRAYS}
             try:

@@ -1,7 +1,8 @@
 """End-to-end orchestration: binarize, fit the window stack, train, predict.
 
 A `PipelineConfig` checks its own values; the window geometry needs the data
-width, so `fit_pipeline` checks the chain of grids before any fitting starts.
+width, so `resolve_grid` checks the chain of grids once the width is known,
+for `fit_pipeline` and the CLI alike, before any fitting starts.
 """
 
 from __future__ import annotations
@@ -59,20 +60,23 @@ class PipelineConfig:
 
 
 def resolve_grid(config: PipelineConfig, width: int) -> GridShape:
-    """The input grid, inferring a square when the config leaves it open."""
-    if config.grid is not None:
-        if config.grid.size != width:
+    """The input grid, inferring a square when the config leaves it open,
+    once every layer of the config fits the grid before it (else
+    GeometryError, see `geometry_chain`)."""
+    grid = config.grid
+    if grid is None:
+        side = math.isqrt(width)
+        if side * side != width:
             raise ConfigError(
-                f"grid {config.grid.rows}x{config.grid.cols} needs {config.grid.size} "
-                f"columns, data has {width}"
+                f"data width {width} is not a perfect square; set an explicit grid"
             )
-        return config.grid
-    side = math.isqrt(width)
-    if side * side != width:
+        grid = GridShape(side, side)
+    elif grid.size != width:
         raise ConfigError(
-            f"data width {width} is not a perfect square; set an explicit grid"
+            f"grid {grid.rows}x{grid.cols} needs {grid.size} columns, data has {width}"
         )
-    return GridShape(side, side)
+    geometry_chain(grid, config.layers)
+    return grid
 
 
 def geometry_chain(grid: GridShape, layers: tuple[WindowSpec, ...]) -> list[GridShape]:
@@ -99,7 +103,6 @@ def fit_pipeline(
         raise DataError("validation data width does not match training data")
     if config.layers:
         grid = resolve_grid(config, data.width)
-        geometry_chain(grid, config.layers)
         disc = fit_discretizer(data, config.discretizer)
         ddata = apply_discretizer(disc, data)
         stack, outputs = stack_layers(

@@ -39,8 +39,9 @@ class ParityModelSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_features < 1 or self.n_train < 1 or self.n_test < 0:
-            raise ConfigError("dataset sizes must be positive (n_test may be 0)")
+        for name, least in (("n_features", 1), ("n_train", 1), ("n_test", 0)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not self.modules:

@@ -4,27 +4,38 @@ Everything here is written the slow, obvious way on purpose: plain loops
 and dictionaries, no shared code with interconv. If a fast path and its
 oracle agree, both would have to be wrong in the same way to hide a bug.
 The exceptions are `reference_window_feature`, which composes the package's
-own per-window reference functions to pin the lockstep layer fit, and
-`preset_architecture`, which reads the package's presets and geometry.
+own per-window reference functions to pin the lockstep layer fit;
+`reference_pipeline`, which builds a whole fit and prediction from it, from
+`np.median` and `np.quantile` thresholds, from dictionary lookups and from
+the checked, copying training step; and `preset_architecture`, which reads
+the package's presets and geometry.
 `with_manifest` and `with_arrays` rewrite a saved bundle's manifest and
 array sections, parsing the file format by hand; `trace_report` prints a
 backward dropping trajectory.
 """
 
 import itertools
+import math
 import struct
 import zlib
+from types import SimpleNamespace
 
 import numpy as np
 
 from interconv import (
+    DiscreteDataset,
     GridShape,
     MlpArchitecture,
     UndefinedMetricError,
     auc,
     backward_drop,
+    bce_loss,
+    forward,
+    init_model,
+    loss_and_gradients,
     partition_stats,
     preset_config,
+    rmsprop_step,
 )
 from interconv.pipeline import geometry_chain
 
@@ -218,6 +229,99 @@ def reference_window_feature(data, window):
         train_auc = float("nan")
     fallback = float(data.response.mean())
     return trace.best_subset, trace.best_score, stats.keys, means, fallback, train_auc
+
+
+def reference_thresholds(x, spec):
+    """Per-column cut points by the rule `spec` names: 'median',
+    'global:<cut>' or 'quantile:<q>'."""
+    method, _, arg = spec.partition(":")
+    if method == "median":
+        return np.median(x, axis=0)
+    if method == "global":
+        return np.full(x.shape[1], float(arg))
+    return np.quantile(x, float(arg), axis=0)
+
+
+def reference_lookup(levels, windows, level_counts):
+    """Each window's feature for every row of int `levels`: its cell mean
+    looked up in a dictionary keyed by level tuples, else its fallback."""
+    out = np.empty((len(levels), len(windows)))
+    rows = levels.tolist()
+    for w, (subset, _, keys, means, fallback, _) in enumerate(windows):
+        table = {decode_cell(k, subset, level_counts): m for k, m in zip(keys.tolist(), means.tolist())}
+        for i, row in enumerate(rows):
+            out[i, w] = table.get(tuple(row[j] for j in subset), fallback)
+    return out
+
+
+def reference_train(arch, x, y, hyper):
+    """`train` replayed with the checked, copying step: (model, losses)."""
+    rng = np.random.default_rng(hyper.seed)
+    model = init_model(arch, hyper, rng=rng)
+    losses = []
+    for _ in range(hyper.epochs):
+        order = rng.permutation(len(y))
+        for lo in range(0, len(y), hyper.batch_size):
+            batch = order[lo : lo + hyper.batch_size]
+            _, grads = loss_and_gradients(model, x[batch], y[batch])
+            model = rmsprop_step(model, grads)
+        losses.append(bce_loss(y, forward(model, x)))
+    return model, tuple(losses)
+
+
+def reference_pipeline(config, data):
+    """`fit_pipeline(config, data)` for a config with window layers, window
+    by window. Returns the input thresholds; per layer its arrays under the
+    names of `LAYER_ARRAYS`; the re-binarizer thresholds; the training
+    features; the trained model and its losses; and `predict(x)`, the
+    class-1 probability of raw rows `x`."""
+    rows, cols = (config.grid.rows, config.grid.cols) if config.grid else (math.isqrt(data.width),) * 2
+    thresholds = [reference_thresholds(data.features, config.discretizer)]
+    levels = (data.features > thresholds[0]).astype(np.int64)
+    fitted, outputs, widths = [], [], []
+    for spec in config.layers:
+        widths.append(levels.shape[1])
+        counts = np.full(widths[-1], 2, dtype=np.int64)
+        current = DiscreteDataset(levels, data.response, counts)
+        pixels = window_pixels(rows, cols, spec.window, spec.stride, spec.start)
+        fitted.append([reference_window_feature(current, w) for w in pixels])
+        outputs.append(reference_lookup(levels, fitted[-1], counts))
+        rows, cols = (len(range(spec.start - 1, side - spec.window + 1, spec.stride)) for side in (rows, cols))
+        if len(outputs) < len(config.layers):
+            thresholds.append(reference_thresholds(outputs[-1], config.rediscretizer))
+            levels = (outputs[-1] > thresholds[-1]).astype(np.int64)
+
+    def features_of(outputs):
+        return outputs[-1] if config.features_mode == "last" else np.hstack(outputs)
+
+    def predict(x):
+        outs = []
+        for windows, cuts in zip(fitted, thresholds, strict=True):
+            levels = (np.asarray(x) if not outs else outs[-1]) > cuts
+            outs.append(reference_lookup(levels.astype(np.int64), windows, np.full(levels.shape[1], 2)))
+        return forward(model, features_of(outs))
+
+    features = features_of(outputs)
+    arch = MlpArchitecture(features.shape[1], config.hidden, config.output_units)
+    model, losses = reference_train(arch, features, data.response.astype(np.float64), config.hyper)
+    layers = []
+    for windows, width in zip(fitted, widths):
+        subsets, scores, keys, means, fallbacks, aucs = zip(*windows)
+        layers.append({
+            "level_counts": np.full(width, 2, dtype=np.int64),
+            "subset_len": np.array([len(s) for s in subsets], dtype=np.int64),
+            "subset_flat": np.array([j for s in subsets for j in s], dtype=np.int64),
+            "ncells": np.array([len(k) for k in keys], dtype=np.int64),
+            "cell_keys": np.concatenate(keys),
+            "cell_means": np.concatenate(means),
+            "fallback": np.array(fallbacks),
+            "iscore": np.array(scores),
+            "auc": np.array(aucs),
+        })
+    return SimpleNamespace(
+        thresholds=thresholds[0], layers=layers, rediscretizers=thresholds[1:], features=features,
+        model=model, losses=losses, predict=predict,
+    )
 
 
 def classifier_width(chain, mode):

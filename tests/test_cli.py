@@ -4,6 +4,8 @@ worker-count determinism guarantee."""
 import argparse
 import csv
 import dataclasses
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from interconv import (
     save_bundle,
     write_pgm,
 )
-from interconv.cli import build_parser, build_pipeline_config, build_synth_spec, main, resolve_config
+from interconv.cli import DEFAULTS, build_parser, build_pipeline_config, build_synth_spec, main, resolve_config
 
 
 def run(capsys, *argv):
@@ -162,6 +164,29 @@ def test_export_maps_names_and_content(tmp_path, synth_dir, fit_dir, capsys):
     assert img.shape == (5, 5)
 
 
+def test_export_maps_defaults_to_the_first_ten_rows(tmp_path, synth_dir, fit_dir, capsys):
+    out = tmp_path / "maps"
+    code, stdout, _ = run(
+        capsys,
+        "export-maps",
+        "--bundle", str(fit_dir / "model.bundle"),
+        "--data", str(synth_dir / "test.csv"),
+        "--out", str(out),
+    )
+    assert code == 0
+    assert stdout == f"wrote 10 maps to {out}\n"
+    assert sorted(p.name[:14] for p in out.glob("*.pgm")) == [f"row{r:04d}_layer1" for r in range(1, 11)]
+
+
+def test_report_with_out_writes_report_txt(tmp_path, fit_dir, capsys):
+    out = tmp_path / "rep"
+    code, stdout, _ = run(capsys, "report", "--bundle", str(fit_dir / "model.bundle"), "--out", str(out))
+    assert code == 0
+    assert stdout == f"wrote {out / 'report.txt'}\n"
+    code, printed, _ = run(capsys, "report", "--bundle", str(fit_dir / "model.bundle"))
+    assert (out / "report.txt").read_text(encoding="utf-8") == printed
+
+
 def test_train_subcommand_flat_only(tmp_path, synth_dir, capsys):
     out = tmp_path / "flat"
     code, stdout, _ = run(
@@ -213,6 +238,25 @@ def test_cli_defaults_are_the_library_defaults():
         assert getattr(config, field.name) == getattr(library, field.name), field.name
     synth_args = build_parser().parse_args(["synth", "--out", "x"])
     assert build_synth_spec(resolve_config(synth_args)) == ParityModelSpec()
+
+
+def test_readme_configuration_table_lists_every_key_with_its_default():
+    """README's table row by row: `train` and `val` share a row, and
+    `synth_*` stands for the four generator keys, whose defaults it leaves
+    to `synth --help`."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| key | default | meaning |\n|-----|---------|---------|\n", 1)[1].split("\n\n", 1)[0]
+    listed = {}
+    for row in table.splitlines():
+        names, default, _ = (cell.strip() for cell in row.strip("|").split("|"))
+        for key in re.findall(r"`([^`]+)`", names):
+            listed[key] = default.strip("`")
+    generator = ("synth_features", "synth_train", "synth_test", "synth_modules")
+    assert listed.pop("synth_*") == ""
+    assert set(listed) | set(generator) == set(DEFAULTS)
+    assert len(listed) + len(generator) == len(DEFAULTS)
+    for key, default in listed.items():
+        assert default == DEFAULTS[key], key
 
 
 # per option: flags, help text, default, required, type and metavar, in

@@ -99,6 +99,8 @@ def test_csv_image_values_outside_0_255_are_refused(tmp_path, value):
         ("a.pgm\n", "path,label"),
         ("", "no images"),
         ("missing.pgm,0\n", "missing.pgm"),
+        ("a.pgm,one\n", "m.csv:1: label 'one' is not an integer"),
+        ("a.png,0\n", "a.png: unsupported image format"),
     ],
 )
 def test_manifest_errors(tmp_path, content, match):
@@ -863,3 +865,17 @@ def test_hand_built_bundle_bytes_are_pinned(tmp_path):
         bundle.input_grid, bundle.features_mode, bundle.arch, bundle.hyper
     )
     assert loaded.stack.rediscretizers == ()
+
+
+def test_numpy_scalar_settings_are_saved_as_python_numbers(tmp_path):
+    """Settings held as numpy scalars write the pinned bytes, not a numpy repr
+    such as 'np.float64(0.01)' that no loader could parse."""
+    bundle = dataclasses.replace(
+        hand_built_bundle(),
+        discretizer=Discretizer("global", np.full(9, 0.5), np.float64(0.5)),
+        hyper=TrainingHyper(learning_rate=np.float64(0.01), epochs=np.int64(3), seed=np.int64(7)),
+    )
+    path = tmp_path / "model.bundle"
+    save_bundle(bundle, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == HAND_BUILT_SHA256
+    assert load_bundle(path).hyper == hand_built_bundle().hyper

@@ -1,10 +1,13 @@
 """Pipeline orchestration: configuration, geometry, presets, and fit/eval."""
 
 import csv
+from unittest import mock
 
 import numpy as np
 import pytest
-from oracles import preset_architecture
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import preset_architecture, reference_pipeline
 
 from interconv import convlayer, discretize, pipeline
 from interconv import (
@@ -22,11 +25,13 @@ from interconv import (
     evaluate_bundle,
     fit_pipeline,
     generate,
+    load_bundle,
     param_count,
     predict_bundle,
     preset_config,
     save_bundle,
 )
+from interconv.convlayer import LAYER_ARRAYS
 from interconv.pipeline import (
     format_report,
     geometry_chain,
@@ -78,6 +83,15 @@ def test_resolve_grid():
         resolve_grid(explicit, 35)
     with pytest.raises(ConfigError):
         resolve_grid(PipelineConfig(), 35)
+
+
+@pytest.mark.parametrize("grid", [None, GridShape(6, 6)])
+def test_resolve_grid_checks_the_chain_of_grids(grid):
+    config = PipelineConfig(grid=grid, layers=(WindowSpec(4, 1), WindowSpec(4, 1)))
+    with pytest.raises(GeometryError, match="window 4 starting at 1 does not fit in axis of 3"):
+        resolve_grid(config, 36)
+    with pytest.raises(GeometryError, match="axis of 3"):
+        fit_pipeline(config, synthetic_real(n_train=20))
 
 
 def test_geometry_chain_and_width():
@@ -256,6 +270,12 @@ def test_format_report_content():
     assert "geometry: 6x6 -> 5x5" in format_report(bundle)
 
 
+def test_format_report_after_zero_epochs():
+    bundle, report = fit_pipeline(small_config(hyper=TrainingHyper(epochs=0)), synthetic_real(seed=8))
+    assert report.train_result.train_losses == ()
+    assert "training: 0 epochs (initial weights kept)\n" in format_report(bundle, report.train_result)
+
+
 def test_write_fit_outputs(tmp_path):
     data = synthetic_real(seed=9)
     bundle, report = fit_pipeline(small_config(), data)
@@ -294,3 +314,63 @@ def test_windows_csv_rows_match_their_layers(tmp_path, one_class):
             assert np.float64(row["train_auc"]).tobytes() == layer.auc[b].tobytes()
         assert np.isnan(layer.auc).all() == one_class
     assert next(rows, None) is None
+
+
+def same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_fit_and_predict_match_the_reference_pipeline(tmp_path_factory, data):
+    """A whole fit and its predictions, fresh rows and a saved bundle
+    included, bitwise equal to `oracles.reference_pipeline`."""
+    draw = data.draw
+    rows, cols = draw(st.integers(4, 7)), draw(st.integers(4, 7))
+    layers, r, c = [], rows, cols
+    for _ in range(draw(st.integers(1, 3))):
+        window = draw(st.integers(1, min(3, r, c)))
+        start = draw(st.integers(1, min(2, r - window + 1, c - window + 1)))
+        layers.append(WindowSpec(window, draw(st.integers(1, 2)), start))
+        r, c = ((side - start - window + 1) // layers[-1].stride + 1 for side in (r, c))
+    kinds = st.sampled_from(["median", "global:0.5", "quantile:0.3"])
+    config = PipelineConfig(
+        grid=None if rows == cols and draw(st.booleans()) else GridShape(rows, cols),
+        discretizer=draw(kinds),
+        layers=tuple(layers),
+        rediscretizer=draw(kinds),
+        features_mode=draw(st.sampled_from(["last", "concat"])),
+        hidden=draw(st.sampled_from([None, 3])),
+        output_units=draw(st.sampled_from([1, 2])),
+        hyper=TrainingHyper(
+            learning_rate=draw(st.sampled_from([0.001, 0.05])),
+            epochs=draw(st.integers(0, 3)),
+            batch_size=draw(st.integers(3, 16)),
+            seed=draw(st.integers(0, 2**16)),
+        ),
+    )
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(8, 40))
+    # coarse values, so that thresholds and cells meet ties
+    train = RealDataset(gen.integers(0, 5, size=(n, rows * cols)) / 4, gen.integers(0, 2, size=n))
+    fresh = gen.integers(0, 5, size=(7, rows * cols)) / 4
+
+    ref = reference_pipeline(config, train)
+    with mock.patch.object(pipeline, "train", wraps=pipeline.train) as trained:
+        bundle, report = fit_pipeline(config, train)
+    assert same_bytes(trained.call_args.args[1].features, ref.features)
+    assert same_bytes(bundle.discretizer.thresholds, ref.thresholds)
+    for layer, arrays in zip(bundle.stack.layers, ref.layers, strict=True):
+        for name in LAYER_ARRAYS:
+            assert same_bytes(getattr(layer, name), arrays[name]), name
+    for disc, thresholds in zip(bundle.stack.rediscretizers, ref.rediscretizers, strict=True):
+        assert same_bytes(disc.thresholds, thresholds)
+    for a, b in zip(bundle.weights, ref.model.weights, strict=True):
+        assert same_bytes(a, b)
+    assert same_bytes(report.train_result.train_losses, ref.losses)
+    expected = ref.predict(fresh)
+    assert same_bytes(predict_bundle(bundle, fresh), expected)
+    path = tmp_path_factory.mktemp("oracle") / "model.bundle"
+    save_bundle(bundle, path)
+    assert same_bytes(predict_bundle(load_bundle(path), fresh), expected)

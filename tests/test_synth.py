@@ -1,6 +1,8 @@
 """Parity mixture generator: shapes, label law, and the no-marginal-signal
 property that makes the benchmark hard for main-effect methods."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -119,3 +121,13 @@ def test_single_module_spec():
 def test_bad_specs_rejected(kwargs):
     with pytest.raises(ConfigError):
         ParityModelSpec(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "size, value",
+    [("n_features", 0), ("n_train", -5), ("n_test", -1)],
+)
+def test_parity_spec_names_the_size_it_refuses(size, value):
+    least = 0 if size == "n_test" else 1
+    with pytest.raises(ConfigError, match=re.escape(f"{size} must be >= {least}, got {value}")):
+        ParityModelSpec(**{size: value})
