@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import sys
 from dataclasses import fields
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, synth
-from .core import GridShape, RealDataset, WindowSpec, _write_csv
+from .core import GridShape, RealDataset, WindowSpec, _read_text, _write_csv
 from .errors import ConfigError, DataError, InterconvError, NumericError
 from .metrics import write_roc_csv
 from .nn import TrainingHyper, param_count
@@ -58,6 +59,8 @@ def _config_values(config: PipelineConfig) -> dict[str, str]:
 
 
 _SYNTH_DEFAULTS = synth.ParityModelSpec()
+# each generator size key and the ParityModelSpec field it sets
+_SYNTH_SIZES = {"synth_features": "n_features", "synth_train": "n_train", "synth_test": "n_test"}
 DEFAULTS: dict[str, str] = {
     # data
     "train": "",
@@ -70,9 +73,7 @@ DEFAULTS: dict[str, str] = {
     # pipeline, training, seed and workers: the library defaults
     **_config_values(PipelineConfig()),
     # synth: the generator's defaults, module indices 1-based as _parse_modules reads them
-    "synth_features": str(_SYNTH_DEFAULTS.n_features),
-    "synth_train": str(_SYNTH_DEFAULTS.n_train),
-    "synth_test": str(_SYNTH_DEFAULTS.n_test),
+    **{key: str(getattr(_SYNTH_DEFAULTS, name)) for key, name in _SYNTH_SIZES.items()},
     "synth_modules": ";".join(
         ",".join(str(j + 1) for j in idx) + f":{mix}" for idx, mix in _SYNTH_DEFAULTS.modules
     ),
@@ -81,10 +82,7 @@ DEFAULTS: dict[str, str] = {
 
 def parse_kv_file(path: str | Path) -> dict[str, str]:
     values: dict[str, str] = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    text = _read_text(path, f"config {path}", ConfigError)
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -220,12 +218,8 @@ def write_resolved(out_dir: Path, raw: dict[str, str], extra: dict[str, str] | N
 def load_table_or_images(path: str | Path) -> tuple[RealDataset, tuple[str, ...] | None]:
     """A dataset CSV, or an image corpus when the file is a path,label manifest."""
     path = Path(path)
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            first = next(csv.reader(fh), None)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    if first is not None and [c.strip().lower() for c in first] == ["path", "label"]:
+    first = next(csv.reader(io.StringIO(_read_text(path, str(path)), newline="")), [])
+    if dataio._is_manifest_header(first):
         images = dataio.load_images(path)
         return images.to_real_dataset(), images.sources
     return dataio.read_dataset_csv(path), None
@@ -236,13 +230,14 @@ def load_table_or_images(path: str | Path) -> tuple[RealDataset, tuple[str, ...]
 
 
 def build_synth_spec(raw: dict[str, str]) -> synth.ParityModelSpec:
-    return synth.ParityModelSpec(
-        n_features=_parse_int(raw, "synth_features"),
-        n_train=_parse_int(raw, "synth_train"),
-        n_test=_parse_int(raw, "synth_test"),
-        modules=_parse_modules(raw["synth_modules"]),
-        seed=_parse_int(raw, "seed"),
-    )
+    sizes = {name: _parse_int(raw, key) for key, name in _SYNTH_SIZES.items()}
+    modules = _parse_modules(raw["synth_modules"])
+    try:
+        return synth.ParityModelSpec(**sizes, modules=modules, seed=_parse_int(raw, "seed"))
+    except ConfigError as exc:
+        # a size refusal names the field; the key the user set goes in front
+        key = next((k for k, name in _SYNTH_SIZES.items() if str(exc).startswith(f"{name} must")), None)
+        raise exc if key is None else ConfigError(f"{key}: {exc}")
 
 
 def _out_dir(args: argparse.Namespace) -> Path:

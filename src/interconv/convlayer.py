@@ -491,12 +491,12 @@ def stack_outputs(stack: ConvStack, data: DiscreteDataset) -> list[RealDataset]:
 FEATURE_MODES = ("last", "concat")
 
 
-def _join_outputs(outputs: list[RealDataset], response: np.ndarray, mode: str) -> RealDataset:
+def _join_outputs(outputs: list[RealDataset], mode: str) -> RealDataset:
     if mode == "last":
         return outputs[-1]
     if mode == "concat":
         joined = np.concatenate([o.features for o in outputs], axis=1)
-        return RealDataset(joined, response)
+        return RealDataset(joined, outputs[0].response)
     raise DataError(f"unknown feature mode {mode!r}")
 
 
@@ -508,5 +508,5 @@ def transform_stack(
     mode "last" keeps the deepest layer's features; "concat" joins every
     layer's features left to right (shallow first).
     """
-    return _join_outputs(stack_outputs(stack, data), data.response, mode)
+    return _join_outputs(stack_outputs(stack, data), mode)
 

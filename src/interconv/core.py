@@ -1,4 +1,4 @@
-"""Grids, sliding windows, the two dataset value types, and one CSV writer.
+"""Grids, sliding windows, the two dataset value types, one CSV writer and one text reader.
 
 Conventions used throughout the package:
 
@@ -105,6 +105,15 @@ def _write_csv(path: str | Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+def _read_text(path: str | Path, what: str, error: type[Exception] = DataError) -> str:
+    """A file the user wrote, as UTF-8 text without a leading BOM and with line ends as written."""
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what}: {exc}") from exc
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(arr)
     out.flags.writeable = False
@@ -126,7 +135,29 @@ def _check_response(response: np.ndarray, n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class DiscreteDataset:
+class _Dataset:
+    """The fields both dataset types share, their non-empty 2-d check, `n` and `width`."""
+
+    features: np.ndarray
+    response: np.ndarray
+
+    def _checked_features(self, dtype=None) -> np.ndarray:
+        feats = np.asarray(self.features, dtype=dtype)
+        if feats.ndim != 2 or feats.shape[0] < 1 or feats.shape[1] < 1:
+            raise DataError(f"features must be a non-empty 2-d array, got shape {feats.shape}")
+        return feats
+
+    @property
+    def n(self) -> int:
+        return self.features.shape[0]
+
+    @property
+    def width(self) -> int:
+        return self.features.shape[1]
+
+
+@dataclass(frozen=True, eq=False)
+class DiscreteDataset(_Dataset):
     """Rows of small non-negative integer levels with a binary response.
 
     `level_counts[j]` is the number of admissible levels of column j; values
@@ -137,14 +168,10 @@ class DiscreteDataset:
     place, not copied.
     """
 
-    features: np.ndarray
-    response: np.ndarray
     level_counts: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        feats = np.asarray(self.features)
-        if feats.ndim != 2 or feats.shape[0] < 1 or feats.shape[1] < 1:
-            raise DataError(f"features must be a non-empty 2-d array, got shape {feats.shape}")
+        feats = self._checked_features()
         narrow = feats.dtype == np.bool_
         if not narrow:
             if not np.issubdtype(feats.dtype, np.integer):
@@ -172,40 +199,19 @@ class DiscreteDataset:
         object.__setattr__(self, "response", _freeze(resp))
         object.__setattr__(self, "level_counts", _freeze(counts))
 
-    @property
-    def n(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.features.shape[1]
-
 
 @dataclass(frozen=True, eq=False)
-class RealDataset:
+class RealDataset(_Dataset):
     """Rows of real-valued features with a binary response.
 
     Arrays are frozen after construction; an input that is already
     C-contiguous float64 is shared and frozen in place, not copied.
     """
 
-    features: np.ndarray
-    response: np.ndarray
-
     def __post_init__(self) -> None:
-        feats = np.asarray(self.features, dtype=np.float64)
-        if feats.ndim != 2 or feats.shape[0] < 1 or feats.shape[1] < 1:
-            raise DataError(f"features must be a non-empty 2-d array, got shape {feats.shape}")
+        feats = self._checked_features(np.float64)
         if not np.isfinite(feats).all():
             raise DataError("features must be finite")
         resp = _check_response(self.response, feats.shape[0])
         object.__setattr__(self, "features", _freeze(feats))
         object.__setattr__(self, "response", _freeze(resp))
-
-    @property
-    def n(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.features.shape[1]

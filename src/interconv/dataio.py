@@ -13,6 +13,7 @@ the loader reports what they refuse as `BundleFormatError`.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import struct
 import zlib
@@ -23,7 +24,7 @@ import numpy as np
 
 from .convlayer import FEATURE_MODES, LAYER_ARRAYS, ConvStack, FittedConvLayer
 from .core import (
-    DiscreteDataset, GridShape, RealDataset, WindowSpec, _check_response, _freeze, _write_csv,
+    DiscreteDataset, GridShape, RealDataset, WindowSpec, _check_response, _freeze, _read_text, _write_csv,
 )
 from .discretize import Discretizer
 from .errors import (
@@ -83,14 +84,20 @@ def _read_image_matrix(path: Path) -> np.ndarray:
     if path.suffix.lower() == ".pgm":
         return read_pgm(path).astype(np.float64)
     if path.suffix.lower() == ".csv":
+        text = _read_text(path, f"image {path}")
         try:
-            mat = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
-        except (ValueError, OSError) as exc:
+            mat = np.loadtxt(io.StringIO(text, newline=""), delimiter=",", ndmin=2, dtype=np.float64)
+        except ValueError as exc:
             raise DataError(f"{path}: unreadable CSV image: {exc}") from exc
         if not ((mat >= 0) & (mat <= 255)).all():
             raise DataError(f"{path}: CSV image values must lie in [0, 255]")
         return mat
     raise DataError(f"{path}: unsupported image format (want .pgm or .csv)")
+
+
+def _is_manifest_header(rec: list[str]) -> bool:
+    """Whether a CSV row is the `path,label` header of an image manifest."""
+    return [c.strip().lower() for c in rec] == ["path", "label"]
 
 
 def load_images(manifest: str | Path) -> ImageSet:
@@ -103,22 +110,19 @@ def load_images(manifest: str | Path) -> ImageSet:
     manifest = Path(manifest)
     base = manifest.parent
     rows: list[tuple[str, int]] = []
-    try:
-        with open(manifest, newline="", encoding="utf-8") as fh:
-            for lineno, rec in enumerate(csv.reader(fh), start=1):
-                if not rec or (lineno == 1 and [c.strip().lower() for c in rec] == ["path", "label"]):
-                    continue
-                if len(rec) != 2:
-                    raise DataError(f"{manifest}:{lineno}: expected 'path,label'")
-                try:
-                    label = int(rec[1])
-                except ValueError:
-                    raise DataError(f"{manifest}:{lineno}: label {rec[1]!r} is not an integer") from None
-                if label not in (0, 1):
-                    raise DataError(f"{manifest}:{lineno}: label must be 0 or 1, got {label}")
-                rows.append((rec[0].strip(), label))
-    except OSError as exc:
-        raise DataError(f"cannot read manifest {manifest}: {exc}") from exc
+    text = _read_text(manifest, f"manifest {manifest}")
+    for lineno, rec in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
+        if not rec or (lineno == 1 and _is_manifest_header(rec)):
+            continue
+        if len(rec) != 2:
+            raise DataError(f"{manifest}:{lineno}: expected 'path,label'")
+        try:
+            label = int(rec[1])
+        except ValueError:
+            raise DataError(f"{manifest}:{lineno}: label {rec[1]!r} is not an integer") from None
+        if label not in (0, 1):
+            raise DataError(f"{manifest}:{lineno}: label must be 0 or 1, got {label}")
+        rows.append((rec[0].strip(), label))
     if not rows:
         raise DataError(f"{manifest}: no images listed")
 
@@ -231,36 +235,32 @@ def write_dataset_csv(path: str | Path, dataset: DiscreteDataset | RealDataset) 
 def read_dataset_csv(path: str | Path) -> RealDataset:
     """Read a dataset CSV; a trailing Y column is optional (zeros otherwise)."""
     path = Path(path)
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise DataError(f"{path}: empty dataset file")
-            has_y = header[-1].strip().upper() == "Y"
-            width = len(header) - 1 if has_y else len(header)
-            feats: list[list[float]] = []
-            resp: list[int] = []
-            for lineno, rec in enumerate(reader, start=2):
-                if not rec:
-                    continue
-                if len(rec) != len(header):
-                    raise DataError(f"{path}:{lineno}: expected {len(header)} columns, got {len(rec)}")
-                try:
-                    values = [float(v) for v in rec]
-                except ValueError as exc:
-                    raise DataError(f"{path}:{lineno}: non-numeric value") from exc
-                if has_y:
-                    feats.append(values[:-1])
-                    y = values[-1]
-                    if y not in (0.0, 1.0):
-                        raise DataError(f"{path}:{lineno}: response must be 0 or 1, got {y}")
-                    resp.append(int(y))
-                else:
-                    feats.append(values)
-                    resp.append(0)
-    except OSError as exc:
-        raise DataError(f"cannot read dataset {path}: {exc}") from exc
+    reader = csv.reader(io.StringIO(_read_text(path, f"dataset {path}"), newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise DataError(f"{path}: empty dataset file")
+    has_y = header[-1].strip().upper() == "Y"
+    width = len(header) - 1 if has_y else len(header)
+    feats: list[list[float]] = []
+    resp: list[int] = []
+    for lineno, rec in enumerate(reader, start=2):
+        if not rec:
+            continue
+        if len(rec) != len(header):
+            raise DataError(f"{path}:{lineno}: expected {len(header)} columns, got {len(rec)}")
+        try:
+            values = [float(v) for v in rec]
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: non-numeric value") from exc
+        if has_y:
+            feats.append(values[:-1])
+            y = values[-1]
+            if y not in (0.0, 1.0):
+                raise DataError(f"{path}:{lineno}: response must be 0 or 1, got {y}")
+            resp.append(int(y))
+        else:
+            feats.append(values)
+            resp.append(0)
     if not feats:
         raise DataError(f"{path}: dataset has no rows")
     if width < 1:
@@ -493,7 +493,7 @@ def load_bundle(path: str | Path) -> ModelBundle:
             _get_discretizer(
                 path, sections, man, f"redisc{k}_method", f"redisc{k}_param", f"redisc{k}/thresholds"
             )
-            for k in range(max(0, n_layers - 1))
+            for k in range(n_layers - 1)
         ]
         weights = tuple(
             _get_array(path, sections, f"clf/w{i}") for i in range(int(man["n_weights"]))

@@ -9,7 +9,7 @@ import numpy as np
 from .errors import DataError
 
 
-def _tokens(data: bytes, path: Path):
+def _tokens(data: bytes):
     """Yield (token, offset-past-token) for whitespace-separated tokens,
     skipping '#' comments. Stops cleanly at end of input."""
     i = 0
@@ -32,7 +32,7 @@ def read_pgm(path: str | Path) -> np.ndarray:
     """Read an 8-bit PGM into a uint8 array of shape (rows, cols)."""
     path = Path(path)
     data = path.read_bytes()
-    tok = _tokens(data, path)
+    tok = _tokens(data)
     try:
         magic, _ = next(tok)
     except StopIteration:
@@ -56,7 +56,7 @@ def read_pgm(path: str | Path) -> np.ndarray:
         img = np.frombuffer(raster, dtype=np.uint8)
     else:
         try:
-            values = [int(t) for t, _ in _tokens(data[end:], path)]
+            values = [int(t) for t, _ in _tokens(data[end:])]
         except ValueError as exc:
             raise DataError(f"{path}: non-numeric token in P2 raster") from exc
         if len(values) != width * height:

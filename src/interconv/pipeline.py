@@ -108,7 +108,7 @@ def fit_pipeline(
         stack, outputs = stack_layers(
             ddata, grid, list(config.layers), rediscretize=config.rediscretizer
         )
-        features = _join_outputs(outputs, ddata.response, config.features_mode)
+        features = _join_outputs(outputs, config.features_mode)
         val_features = None
         if val_data is not None:
             val_d = apply_discretizer(disc, val_data)
@@ -156,8 +156,7 @@ def bundle_features(bundle: ModelBundle, features: np.ndarray) -> RealDataset:
 def predict_bundle(bundle: ModelBundle, features: np.ndarray) -> np.ndarray:
     """Class-1 probability for every row of raw input features."""
     feats = bundle_features(bundle, features)
-    out = forward(bundle, feats.features)
-    return np.asarray(out, dtype=np.float64)
+    return forward(bundle, feats.features)
 
 
 def layer_maps(bundle: ModelBundle, features: np.ndarray) -> list[np.ndarray]:
@@ -258,9 +257,8 @@ def format_report(bundle: ModelBundle, train_result: TrainResult | None = None) 
                 f"layer {li}: window {s.window}x{s.window} stride {s.stride} start {s.start} "
                 f"-> {layer.output_grid.rows}x{layer.output_grid.cols} ({layer.n_windows} windows)"
             )
-        if bundle.discretizer is not None:
-            param = "" if bundle.discretizer.param is None else f":{bundle.discretizer.param}"
-            lines.append(f"discretizer: {bundle.discretizer.method}{param}")
+        param = "" if bundle.discretizer.param is None else f":{bundle.discretizer.param}"
+        lines.append(f"discretizer: {bundle.discretizer.method}{param}")
         lines.append(f"features: {bundle.features_mode} ({bundle.arch.input_width})")
     hidden = "none" if bundle.arch.hidden is None else str(bundle.arch.hidden)
     lines.append(

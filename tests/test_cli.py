@@ -230,6 +230,61 @@ def test_config_file_and_set_precedence(tmp_path, synth_dir, capsys):
     assert len((out / "loss.csv").read_text().splitlines()) == 3
 
 
+def test_a_bom_config_keeps_its_first_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("synth_train = 7\nsynth_test = 0\n", encoding="utf-8-sig")
+    out = tmp_path / "bomrun"
+    code, _, err = run(capsys, "synth", "--config", str(cfg), "--out", str(out))
+    assert code == 0, err
+    assert "synth_train = 7" in (out / "resolved.cfg").read_text().splitlines()
+    assert len((out / "train.csv").read_text().splitlines()) == 8
+
+
+def bom_corpus(tmp_path):
+    """Eight 6x6 PGM images listed twice: by a plain manifest and by the
+    same manifest with a leading UTF-8 BOM. Returns (plain, bom)."""
+    gen = np.random.default_rng(5)
+    rows = []
+    for i in range(8):
+        write_pgm(tmp_path / f"im{i}.pgm", gen.random((6, 6)))
+        rows.append(f"im{i}.pgm,{i % 2}")
+    text = "path,label\n" + "\n".join(rows) + "\n"
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_text(text, encoding="utf-8")
+    bom.write_text(text, encoding="utf-8-sig")
+    return plain, bom
+
+
+def test_a_bom_manifest_fits_through_images(tmp_path, capsys):
+    bundles = []
+    for manifest in bom_corpus(tmp_path):
+        out = tmp_path / f"fit_{manifest.stem}"
+        code, _, err = run(
+            capsys, "fit", "--out", str(out), "--set", f"images={manifest}",
+            "--set", "layers=2:1", "--set", "epochs=2",
+        )
+        assert code == 0, err
+        bundles.append((out / "model.bundle").read_bytes())
+    assert bundles[1] == bundles[0]
+
+
+def test_predict_recognises_a_bom_manifest(tmp_path, capsys):
+    plain, bom = bom_corpus(tmp_path)
+    fit = tmp_path / "fit"
+    code, _, err = run(capsys, "fit", "--out", str(fit), "--set", f"images={plain}", "--set", "layers=2:1")
+    assert code == 0, err
+    predictions = []
+    for manifest in (plain, bom):
+        out = tmp_path / f"pred_{manifest.stem}"
+        code, _, err = run(
+            capsys, "predict", "--bundle", str(fit / "model.bundle"), "--data", str(manifest), "--out", str(out)
+        )
+        assert code == 0, err
+        predictions.append((out / "predictions.csv").read_bytes())
+    assert predictions[1] == predictions[0]
+    assert predictions[0].splitlines()[1].split(b",")[1] == b"im0.pgm"
+
+
 def test_cli_defaults_are_the_library_defaults():
     args = build_parser().parse_args(["fit", "--out", "x"])
     config = build_pipeline_config(resolve_config(args))

@@ -1,4 +1,7 @@
-"""Window geometry and dataset invariants."""
+"""Window geometry and dataset invariants, and where `src/` reads outside text."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -253,3 +256,50 @@ def test_real_dataset_rejects_non_finite():
         RealDataset(np.array([[np.nan]]), np.array([0]))
     with pytest.raises(DataError):
         RealDataset(np.array([[np.inf]]), np.array([1]))
+
+
+def _reads_text(call: ast.Call) -> bool:
+    """Whether a call is `.read_text(...)` or an `open` whose mode can read."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name == "read_text":
+        return True
+    if name != "open":
+        return False
+    # the mode is the second argument of the builtin and the first of Path.open
+    position = 1 if isinstance(func, ast.Name) else 0
+    modes = [k.value for k in call.keywords if k.arg == "mode"] + call.args[position : position + 1]
+    if not modes:
+        return True  # the default mode is "r"
+    return not (isinstance(modes[0], ast.Constant) and set(modes[0].value) & set("wax"))
+
+
+def outside_text_sites():
+    """(what, module, enclosing function) of every text read and every
+    handler naming UnicodeDecodeError in `src/interconv`."""
+    found = []
+
+    def visit(node, module, func):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
+            if isinstance(child, ast.Call) and _reads_text(child):
+                found.append(("read", module, inner))
+            if isinstance(child, ast.ExceptHandler) and child.type is not None:
+                if "UnicodeDecodeError" in ast.unparse(child.type):
+                    found.append(("decode", module, inner))
+            visit(child, module, inner)
+
+    for path in sorted((Path(__file__).parents[1] / "src" / "interconv").glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+    return found
+
+
+def test_outside_text_is_read_in_one_place():
+    """Only `core._read_text` opens text for reading; it and the bundle's
+    section reader are the only handlers of UnicodeDecodeError. Writers and
+    the binary `read_bytes` of PGM files and bundles are not text reads."""
+    assert sorted(outside_text_sites()) == [
+        ("decode", "core", "_read_text"),
+        ("decode", "dataio", "_read_sections"),
+        ("read", "core", "_read_text"),
+    ]

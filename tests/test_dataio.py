@@ -83,6 +83,16 @@ def test_load_images_accepts_csv_images(tmp_path):
     assert images.intensities[0].tolist() == [0.0, 128 / 255.0, 1.0, 64 / 255.0]
 
 
+def test_a_bom_csv_image_reads_like_one_without(tmp_path):
+    (tmp_path / "a.csv").write_text("0,128\n255,64\n", encoding="utf-8")
+    (tmp_path / "b.csv").write_text("0,128\n255,64\n", encoding="utf-8-sig")
+    assert (tmp_path / "b.csv").read_bytes().startswith(b"\xef\xbb\xbf")
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("a.csv,0\nb.csv,1\n")
+    images = load_images(manifest)
+    assert images.intensities[1].tobytes() == images.intensities[0].tobytes()
+
+
 @pytest.mark.parametrize("value", ["nan", "256", "-1"])
 def test_csv_image_values_outside_0_255_are_refused(tmp_path, value):
     (tmp_path / "a.csv").write_text(f"0,{value}\n255,64\n")
@@ -171,6 +181,11 @@ def test_augment_zero_noise_duplicates(tmp_path):
         origin = grown.sources[i].split("#")[0]
         j = images.sources.index(origin)
         assert np.array_equal(grown.intensities[i], images.intensities[j])
+
+
+def test_augment_to_a_target_every_class_meets_returns_its_input(tmp_path):
+    images = load_images(make_corpus(tmp_path, n0=3, n1=3))
+    assert augment_images(images, target_per_class=3, seed=1) is images
 
 
 def test_augment_rejects_shrinking(tmp_path):

@@ -1,6 +1,7 @@
 """Pipeline orchestration: configuration, geometry, presets, and fit/eval."""
 
 import csv
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -374,3 +375,15 @@ def test_fit_and_predict_match_the_reference_pipeline(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("oracle") / "model.bundle"
     save_bundle(bundle, path)
     assert same_bytes(predict_bundle(load_bundle(path), fresh), expected)
+
+
+def test_readme_library_use_snippet_runs(tmp_path, monkeypatch, capsys):
+    """The first python block of README's "Library use" section, as written:
+    it prints an AUC and saves a bundle that loads."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    snippet = section.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    exec(compile(snippet, "README.md", "exec"), {})
+    assert 0.0 <= float(capsys.readouterr().out) <= 1.0
+    load_bundle(tmp_path / "model.bundle")

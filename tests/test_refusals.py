@@ -50,11 +50,22 @@ def flat_bundle(tmp_path):
 
 
 def manifest_of(tmp_path, name, content):
-    """A one-image manifest whose image file `name` holds `content`."""
-    (tmp_path / name).write_text(content)
+    """A one-image manifest whose image file `name` holds `content` (text,
+    or bytes written as they are; None writes no image)."""
+    if isinstance(content, bytes):
+        (tmp_path / name).write_bytes(content)
+    elif content is not None:
+        (tmp_path / name).write_text(content)
     manifest = tmp_path / "m.csv"
     manifest.write_text(f"path,label\n{name},1\n")
     return manifest
+
+
+def latin1(tmp_path, name, text):
+    """`text` written as Latin-1, which is not UTF-8 once it holds an 'é'."""
+    path = tmp_path / name
+    path.write_bytes(text.encode("latin-1"))
+    return path
 
 
 def transform_too_wide(tmp_path):
@@ -106,6 +117,21 @@ LIBRARY = {
     "unreadable manifest": (
         lambda tmp: load_images(tmp / "absent.csv"), DataError, "cannot read manifest",
     ),
+    "missing csv image": (
+        lambda tmp: load_images(manifest_of(tmp, "a.csv", None)), DataError, "cannot read image",
+    ),
+    "csv image not utf-8": (
+        lambda tmp: load_images(manifest_of(tmp, "a.csv", b"1,2\n\xe9,4\n")),
+        DataError, "cannot read image",
+    ),
+    "manifest not utf-8": (
+        lambda tmp: load_images(latin1(tmp, "m.csv", "path,label\ncafé.pgm,1\n")),
+        DataError, "cannot read manifest",
+    ),
+    "dataset not utf-8": (
+        lambda tmp: read_dataset_csv(latin1(tmp, "d.csv", "X1,Y\n1,0\n# é\n")),
+        DataError, "cannot read dataset",
+    ),
     "no feature columns": (only_a_response, DataError, "d.csv: dataset has no feature columns"),
     "truncated section": (truncated_section, BundleFormatError, "section manifest truncated"),
     "no manifest": (no_manifest, BundleFormatError, "bundle has no manifest"),
@@ -147,9 +173,11 @@ def test_library_refusal(tmp_path, case):
 
 
 # argv with {tmp} for the test's directory, where bad.cfg holds a line with
-# no '=', and the message each run must print before it exits 2
+# no '=' and latin1.cfg is not UTF-8, and the message each run must print
+# before it exits 2
 CLI = {
     "config unreadable": (["fit", "--config", "{tmp}/absent.cfg"], "cannot read config"),
+    "config not utf-8": (["fit", "--config", "{tmp}/latin1.cfg"], "cannot read config"),
     "config line": (["fit", "--config", "{tmp}/bad.cfg"], "bad.cfg:2: expected key=value, got 'oops'"),
     "grid": (["fit", "--set", "grid=six"], "grid must look like 6x6, got 'six'"),
     "layer parts": (["fit", "--set", "layers=2"], "layer spec must be window:stride[:start], got '2'"),
@@ -162,7 +190,9 @@ CLI = {
         "set either train= (CSV) or images= (manifest), not both",
     ),
     "no data": (["fit"], "fit needs train= (dataset CSV) or images= (manifest)"),
-    "synth size": (["synth", "--set", "synth_train=-5"], "n_train must be >= 1, got -5"),
+    "synth size": (["synth", "--set", "synth_train=-5"], "synth_train: n_train must be >= 1, got -5"),
+    "synth features": (["synth", "--set", "synth_features=0"], "synth_features: n_features must be >= 1, got 0"),
+    "synth test size": (["synth", "--set", "synth_test=-1"], "synth_test: n_test must be >= 0, got -1"),
 }
 
 
@@ -170,6 +200,7 @@ CLI = {
 def test_cli_refusal(tmp_path, capsys, case):
     argv, message = CLI[case]
     (tmp_path / "bad.cfg").write_text("seed = 1\noops\n")
+    latin1(tmp_path, "latin1.cfg", "# café\nseed = 1\n")
     out = tmp_path / "out"
     assert main([a.format(tmp=tmp_path) for a in argv] + ["--out", str(out)]) == 2
     captured = capsys.readouterr()
@@ -180,17 +211,49 @@ def test_cli_refusal(tmp_path, capsys, case):
 
 
 @pytest.mark.parametrize(
+    "settings, message",
+    [
+        (["train={tmp}/latin1.csv"], "cannot read dataset {tmp}/latin1.csv"),
+        (["train={tmp}/d.csv", "val={tmp}/latin1.csv"], "cannot read dataset {tmp}/latin1.csv"),
+        (["images={tmp}/latin1.csv"], "cannot read manifest {tmp}/latin1.csv"),
+    ],
+    ids=["train", "val", "images"],
+)
+def test_fit_data_that_is_not_utf8_exits_3(tmp_path, capsys, settings, message):
+    (tmp_path / "d.csv").write_text("X1,X2,Y\n0.1,0.2,0\n0.3,0.4,1\n")
+    latin1(tmp_path, "latin1.csv", "path,label\ncafé.pgm,1\n")
+    out = tmp_path / "out"
+    argv = ["fit", "--out", str(out)]
+    for setting in settings:
+        argv += ["--set", setting.format(tmp=tmp_path)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert message.format(tmp=tmp_path) in captured.err
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv, message, code",
     [
         (["predict", "--data", "{tmp}/absent.csv"], "cannot read {tmp}/absent.csv", 3),
+        *(
+            ([command, "--data", "{tmp}/latin1.csv"], "cannot read {tmp}/latin1.csv", 3)
+            for command in ("predict", "eval", "transform", "export-maps")
+        ),
         (["export-maps", "--data", "{tmp}/d.csv", "--rows", "1,b"],
          "--rows expects comma-separated integers, got '1,b'", 2),
         (["export-maps", "--data", "{tmp}/d.csv", "--rows", "3"], "row 3 out of range (data has 2 rows)", 3),
     ],
-    ids=["data unreadable", "rows", "row range"],
+    ids=[
+        "data unreadable", "predict data not utf-8", "eval data not utf-8",
+        "transform data not utf-8", "export-maps data not utf-8", "rows", "row range",
+    ],
 )
 def test_bundle_subcommand_refusal(tmp_path, capsys, argv, message, code):
     (tmp_path / "d.csv").write_text("X1,X2,Y\n0.1,0.2,0\n0.3,0.4,1\n")
+    latin1(tmp_path, "latin1.csv", "X1,X2,Y\n0.1,0.2,0\n# é\n")
     out = tmp_path / "out"
     argv = [a.format(tmp=tmp_path) for a in argv] + ["--bundle", str(flat_bundle(tmp_path)), "--out", str(out)]
     assert main(argv) == code
