@@ -1,15 +1,19 @@
 """Small fully-connected classifier trained with RMSprop.
 
 Architectures are input -> (optional sigmoid hidden layer) -> output, with no
-bias terms anywhere. A 1-unit output applies a sigmoid; a 2-unit output
-applies a softmax and the predicted probability is the class-1 coordinate.
-Loss is binary cross-entropy on that probability, gradients are exact, and
-updates follow RMSprop in place, in this float order:
+bias terms anywhere. The sigmoid, of hidden units and of a 1-unit output, is
+`where(z >= 0, 1, e) / (1 + e)` with `e = exp(-|z|)`, so it cannot overflow.
+A 2-unit output's softmax shifts by the larger of its two columns and sums
+them in one add; its class-1 column is the prediction. Both activations are
+bitwise equal to their references in `tests/oracles.py`. Loss is binary
+cross-entropy on that probability, gradients are exact, and updates follow
+RMSprop in place, in this float order:
 
     v *= decay; v += (1 - decay) * g * g
     w -= lr * g / (sqrt(v) + 1e-8)
 
-A training step computes no batch loss and checks nothing `train` checked;
+`train` shapes its labels once (`_targets`) and gathers each batch with `take`.
+A step computes no batch loss and checks nothing `train` checked;
 `loss_and_gradients` and `rmsprop_step` are its checked, copying forms.
 """
 
@@ -103,18 +107,13 @@ def init_model(
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    ez = np.exp(shifted)
-    return ez / ez.sum(axis=1, keepdims=True)
+    ez = np.exp(z - np.maximum(z[:, :1], z[:, 1:]))
+    return ez / (ez[:, :1] + ez[:, 1:])
 
 
 def _as_matrix(features: np.ndarray, width: int) -> tuple[np.ndarray, bool]:
@@ -135,11 +134,7 @@ def _forward_parts(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray | None, n
     else:
         hidden = _sigmoid(x @ model.weights[0])
         z_out = hidden @ model.weights[1]
-    if model.arch.output_units == 1:
-        probs = _sigmoid(z_out)
-    else:
-        probs = _softmax(z_out)
-    return hidden, probs
+    return hidden, _sigmoid(z_out) if model.arch.output_units == 1 else _softmax(z_out)
 
 
 def forward(model: MlpModel, features: np.ndarray) -> np.ndarray | float:
@@ -163,10 +158,14 @@ def bce_loss(y_true, y_prob) -> float:
     return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
 
 
-def _gradients(model: MlpModel, x: np.ndarray, onehot: np.ndarray, hidden, probs) -> tuple:
-    """Exact mean-BCE gradients from a checked batch, its (1 - y, y) labels
-    and its forward pass; a 1-unit output is scored against y alone."""
-    dz_out = (probs - onehot[:, -probs.shape[1] :]) / x.shape[0]
+def _targets(y: np.ndarray, arch: MlpArchitecture) -> np.ndarray:
+    """Labels as the output layer scores them: (1 - y, y) columns, or y alone for one unit."""
+    return y[:, np.newaxis] if arch.output_units == 1 else np.column_stack([1.0 - y, y])
+
+
+def _gradients(model: MlpModel, x: np.ndarray, target: np.ndarray, hidden, probs) -> tuple:
+    """Exact mean-BCE gradients from a checked batch, its `_targets` and its forward pass."""
+    dz_out = (probs - target) / x.shape[0]
     if hidden is None:
         return (x.T @ dz_out,)
     dz_hidden = (dz_out @ model.weights[1].T) * hidden * (1.0 - hidden)
@@ -183,7 +182,7 @@ def loss_and_gradients(
         raise DataError("feature rows and labels differ in length")
     hidden, probs = _forward_parts(model, x)
     loss = bce_loss(y, probs[:, -1])
-    return loss, _gradients(model, x, np.column_stack([1.0 - y, y]), hidden, probs)
+    return loss, _gradients(model, x, _targets(y, model.arch), hidden, probs)
 
 
 def _rmsprop_update(weights: tuple, state: tuple, grads: tuple, hyper: TrainingHyper) -> None:
@@ -229,16 +228,15 @@ def train(
     rng = np.random.default_rng(hyper.seed)
     model = init_model(arch, hyper, rng=rng)
     x, y = data.features, data.response.astype(np.float64)
-    onehot = np.column_stack([1.0 - y, y])
-    n = x.shape[0]
+    target = _targets(y, arch)
     train_losses: list[float] = []
     val_losses: list[float] = []
     for epoch in range(hyper.epochs):
-        order = rng.permutation(n)
-        for lo in range(0, n, hyper.batch_size):
+        order = rng.permutation(data.n)
+        for lo in range(0, data.n, hyper.batch_size):
             batch = order[lo : lo + hyper.batch_size]
-            xb = x[batch]
-            grads = _gradients(model, xb, onehot[batch], *_forward_parts(model, xb))
+            xb = x.take(batch, axis=0)
+            grads = _gradients(model, xb, target.take(batch, axis=0), *_forward_parts(model, xb))
             _rmsprop_update(model.weights, model.rms_state, grads, hyper)
         epoch_loss = bce_loss(y, forward(model, x))
         if not np.isfinite(epoch_loss):

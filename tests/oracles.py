@@ -254,6 +254,23 @@ def reference_lookup(levels, windows, level_counts):
     return out
 
 
+def reference_sigmoid(z):
+    """The classifier's sigmoid in its masked two-branch form."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def reference_softmax(z):
+    """The classifier's softmax by keepdims row reductions."""
+    shifted = z - z.max(axis=1, keepdims=True)
+    ez = np.exp(shifted)
+    return ez / ez.sum(axis=1, keepdims=True)
+
+
 def reference_train(arch, x, y, hyper):
     """`train` replayed with the checked, copying step: (model, losses)."""
     rng = np.random.default_rng(hyper.seed)

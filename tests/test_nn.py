@@ -1,13 +1,17 @@
-"""Classifier math: exact architecture sizes, gradients against central
-finite differences, frozen RMSprop update values, `train` against a replay
-with the public step, and one fit's trained numbers pinned by hash."""
+"""Classifier math: exact architecture sizes, activations bitwise against
+their reference forms, gradients against central finite differences, frozen
+RMSprop update values, `train` against a replay with the public step, and
+one fit's trained numbers pinned by hash for every classifier shape."""
 
 import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
-from oracles import finite_difference_grads
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import finite_difference_grads, reference_sigmoid, reference_softmax
 
 from interconv import (
     ConfigError,
@@ -29,7 +33,7 @@ from interconv import (
     rmsprop_step,
     train,
 )
-from interconv.nn import MlpModel, write_loss_csv
+from interconv.nn import MlpModel, _sigmoid, _softmax, write_loss_csv
 
 # (input, hidden, output_units) -> expected weight count; no bias terms,
 # so every count is a plain sum of matrix sizes
@@ -105,6 +109,37 @@ def test_softmax_matches_sigmoid_of_logit_difference():
     z = x @ w
     expected = 1.0 / (1.0 + np.exp(-(z[:, 1] - z[:, 0])))
     assert forward(model, x) == pytest.approx(expected, abs=1e-12)
+
+
+def _bitwise_equal(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+LOGIT = st.floats(-1e3, 1e3, allow_nan=False) | st.sampled_from([0.0, -0.0])
+# a row of two logits, or one logit in both columns (a tie)
+LOGIT_PAIR = st.tuples(LOGIT, LOGIT) | LOGIT.map(lambda v: (v, v))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(LOGIT_PAIR, min_size=1, max_size=40))
+@example([(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (0.0, 0.0)])
+@example([(1e3, 1e3), (-1e3, -1e3), (1e3, -1e3), (-1e3, 1e3), (5e-324, -5e-324)])
+def test_activations_are_bitwise_equal_to_their_references(rows):
+    z = np.array(rows, dtype=np.float64)
+    assert _bitwise_equal(_softmax(z), reference_softmax(z))
+    assert _bitwise_equal(_sigmoid(z), reference_sigmoid(z))
+    assert _bitwise_equal(_sigmoid(z[:, :1]), reference_sigmoid(z[:, :1]))
+
+
+def test_activations_agree_with_their_references_on_non_finite_logits():
+    special = [np.inf, -np.inf, np.nan, 0.0, -0.0, 1.0, -1e3]
+    z = np.array(list(itertools.product(special, repeat=2)))
+    # inf - inf in the softmax shift is NaN in both forms
+    with np.errstate(invalid="ignore"):
+        fast, ref = _softmax(z), reference_softmax(z)
+    assert np.array_equal(fast, ref, equal_nan=True)
+    assert np.isnan(fast).any()
+    assert np.array_equal(_sigmoid(z), reference_sigmoid(z), equal_nan=True)
 
 
 def test_forward_single_row_returns_scalar():
@@ -221,14 +256,13 @@ def test_init_and_shuffling_share_one_stream():
     assert result.train_losses == (bce_loss(y, forward(model, data.features)),)
 
 
-@pytest.mark.parametrize("hidden", [None, 3])
-@pytest.mark.parametrize("output_units", [1, 2])
-def test_train_matches_a_replay_by_hand(hidden, output_units):
-    """Three epochs replayed with the public, checked and copying, step:
-    `train`'s in-place step without a batch loss must agree bitwise."""
+def _assert_train_matches_a_replay(hidden, output_units, batch_size):
+    """Three epochs replayed with the public, checked and copying, step and
+    fancy-indexed batches: `train`'s in-place step without a batch loss, and
+    its `take` gathers, must agree bitwise."""
     data, val = _separable_data(n=100, seed=1), _separable_data(n=30, seed=2)
     arch = MlpArchitecture(input_width=4, hidden=hidden, output_units=output_units)
-    hyper = TrainingHyper(epochs=3, batch_size=32, seed=6)  # 100 rows: a last batch of 4
+    hyper = TrainingHyper(epochs=3, batch_size=batch_size, seed=6)
     result = train(arch, data, hyper, val_data=val)
     rng = np.random.default_rng(hyper.seed)
     model = init_model(arch, hyper, rng=rng)
@@ -251,6 +285,20 @@ def test_train_matches_a_replay_by_hand(hidden, output_units):
         assert a.tobytes() == b.tobytes()
     assert np.array(result.train_losses).tobytes() == np.array(train_losses).tobytes()
     assert np.array(result.val_losses).tobytes() == np.array(val_losses).tobytes()
+
+
+@pytest.mark.parametrize("hidden", [None, 3])
+@pytest.mark.parametrize("output_units", [1, 2])
+def test_train_matches_a_replay_by_hand(hidden, output_units):
+    _assert_train_matches_a_replay(hidden, output_units, batch_size=32)  # 100 rows: a last batch of 4
+
+
+@pytest.mark.parametrize("hidden", [None, 3])
+@pytest.mark.parametrize("output_units", [1, 2])
+@pytest.mark.parametrize("batch_size", [1, 150])
+def test_train_matches_a_replay_at_batch_edges(hidden, output_units, batch_size):
+    """One row per batch, and one short batch per epoch (150 > 100 rows)."""
+    _assert_train_matches_a_replay(hidden, output_units, batch_size)
 
 
 def test_validation_width_is_checked_before_training():
@@ -317,16 +365,36 @@ def test_hyper_validation_bounds():
 # for the fit below; any change to training arithmetic, however small,
 # changes it
 TRAINED_SHA256 = "ebca7f9a84cd060c3815923ab31acf62e84d0e123908f1b95258b6d8b463dcb1"
+# the same digest for the other classifier shapes, keyed by (hidden, output_units)
+TRAINED_SHA256_BY_SHAPE = {
+    (None, 1): "eaa748f287191621cd40b992c835577181413da9d0be3c0c813f73d21e451af5",
+    (4, 1): "5718a2c5185148477f5cfa0ee36cdf7fff2c954d16d3e7de21986e58efc8e5c9",
+    (4, 2): "713ef71ab4dc69313eecf7e0967e0efa86d40b24ccd53ff752e31000c0e1d6cd",
+}
 
 
-def test_trained_weights_and_losses_are_pinned():
+def _trained_digest(hidden=None, output_units=2):
     rows, _ = generate(ParityModelSpec(seed=1))
     data = RealDataset(rows.features.astype(np.float64), rows.response)
-    config = PipelineConfig(discretizer="global:0.5", layers=(WindowSpec(window=2, stride=1),))
+    config = PipelineConfig(
+        discretizer="global:0.5",
+        layers=(WindowSpec(window=2, stride=1),),
+        hidden=hidden,
+        output_units=output_units,
+    )
     _, report = fit_pipeline(config, data)
     result = report.train_result
     digest = hashlib.sha256()
     for w in result.model.weights:
         digest.update(w.tobytes())
     digest.update(np.array(result.train_losses).tobytes())
-    assert digest.hexdigest() == TRAINED_SHA256
+    return digest.hexdigest()
+
+
+def test_trained_weights_and_losses_are_pinned():
+    assert _trained_digest() == TRAINED_SHA256
+
+
+@pytest.mark.parametrize("hidden,output_units", list(TRAINED_SHA256_BY_SHAPE))
+def test_trained_weights_and_losses_are_pinned_for_the_other_shapes(hidden, output_units):
+    assert _trained_digest(hidden, output_units) == TRAINED_SHA256_BY_SHAPE[hidden, output_units]
