@@ -59,9 +59,7 @@ from .nn import (
     bce_loss,
     forward,
     init_model,
-    loss_and_gradients,
     param_count,
-    rmsprop_step,
     train,
 )
 from .pgm import read_pgm, write_pgm

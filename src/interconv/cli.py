@@ -12,8 +12,6 @@ failure during training or evaluation.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import math
 import sys
 from dataclasses import fields
@@ -22,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, synth
-from .core import GridShape, RealDataset, WindowSpec, _read_text, _write_csv
+from .core import GridShape, RealDataset, WindowSpec, _csv_records, _read_text, _write_csv
 from .errors import ConfigError, DataError, InterconvError, NumericError
 from .metrics import write_roc_csv
 from .nn import TrainingHyper, param_count
@@ -218,7 +216,7 @@ def write_resolved(out_dir: Path, raw: dict[str, str], extra: dict[str, str] | N
 def load_table_or_images(path: str | Path) -> tuple[RealDataset, tuple[str, ...] | None]:
     """A dataset CSV, or an image corpus when the file is a path,label manifest."""
     path = Path(path)
-    first = next(csv.reader(io.StringIO(_read_text(path, str(path)), newline="")), [])
+    _, first = next(_csv_records(path, str(path)), (0, []))
     if dataio._is_manifest_header(first):
         images = dataio.load_images(path)
         return images.to_real_dataset(), images.sources

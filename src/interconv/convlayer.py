@@ -38,7 +38,7 @@ from .core import (
 )
 from .discretize import Discretizer, apply_discretizer, fit_discretizer
 from .errors import DataError
-from .iscore import MAX_SUBSET, encode_cells
+from .iscore import MAX_SUBSET, _cell_counts, _place_values, encode_cells
 from .metrics import grouped_auc, segment_sums
 
 
@@ -67,19 +67,6 @@ LAYER_ARRAYS = (
     "level_counts", "subset_len", "subset_flat", "ncells",
     "cell_keys", "cell_means", "fallback", "iscore", "auc",
 )
-
-
-def _cell_counts(level_counts: np.ndarray, flat: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Exact cell count of each subset laid end to end in `flat`, refusing one
-    over 2**62 so that int64 cell keys and table sizes cannot overflow."""
-    starts = np.cumsum(lengths) - lengths
-    cells = np.multiply.reduceat(level_counts[flat].astype(object), starts)
-    over = np.flatnonzero(cells > 2**62)
-    if over.size:
-        first = starts[over[0]]
-        subset = tuple(flat[first : first + lengths[over[0]]].tolist())
-        raise DataError(f"partition of subset {subset} overflows 64-bit cell keys: more than 2**62 cells")
-    return cells
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,14 +171,6 @@ class FittedConvLayer:
 
 # Most entries (8 bytes each) a layer's dense lookup table may hold.
 TABLE_LIMIT = 2**20
-
-
-def _place_values(sizes: np.ndarray) -> np.ndarray:
-    """Mixed-radix place value of every position of each row of level counts
-    `sizes`: the product of the counts before it in its row."""
-    radix = np.ones_like(sizes)
-    np.cumprod(sizes[:, :-1], axis=1, out=radix[:, 1:])
-    return radix
 
 
 def _drop_one(size: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Grids, sliding windows, the two dataset value types, one CSV writer and one text reader.
+"""Grids, sliding windows, the two dataset value types, one CSV writer and one text and CSV reader.
 
 Conventions used throughout the package:
 
@@ -11,6 +11,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -112,6 +113,13 @@ def _read_text(path: str | Path, what: str, error: type[Exception] = DataError) 
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {what}: {exc}") from exc
+
+
+def _csv_records(path: str | Path, what: str):
+    """Non-empty CSV records of a user's file with their 1-based record numbers; the first is the header."""
+    for lineno, rec in enumerate(csv.reader(io.StringIO(_read_text(path, what), newline="")), start=1):
+        if rec:
+            yield lineno, rec
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

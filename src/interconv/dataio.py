@@ -12,7 +12,6 @@ the loader reports what they refuse as `BundleFormatError`.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 import struct
@@ -24,7 +23,8 @@ import numpy as np
 
 from .convlayer import FEATURE_MODES, LAYER_ARRAYS, ConvStack, FittedConvLayer
 from .core import (
-    DiscreteDataset, GridShape, RealDataset, WindowSpec, _check_response, _freeze, _read_text, _write_csv,
+    DiscreteDataset, GridShape, RealDataset, WindowSpec, _check_response, _csv_records, _freeze, _read_text,
+    _write_csv,
 )
 from .discretize import Discretizer
 from .errors import (
@@ -110,9 +110,8 @@ def load_images(manifest: str | Path) -> ImageSet:
     manifest = Path(manifest)
     base = manifest.parent
     rows: list[tuple[str, int]] = []
-    text = _read_text(manifest, f"manifest {manifest}")
-    for lineno, rec in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
-        if not rec or (lineno == 1 and _is_manifest_header(rec)):
+    for k, (lineno, rec) in enumerate(_csv_records(manifest, f"manifest {manifest}")):
+        if k == 0 and _is_manifest_header(rec):
             continue
         if len(rec) != 2:
             raise DataError(f"{manifest}:{lineno}: expected 'path,label'")
@@ -235,17 +234,15 @@ def write_dataset_csv(path: str | Path, dataset: DiscreteDataset | RealDataset) 
 def read_dataset_csv(path: str | Path) -> RealDataset:
     """Read a dataset CSV; a trailing Y column is optional (zeros otherwise)."""
     path = Path(path)
-    reader = csv.reader(io.StringIO(_read_text(path, f"dataset {path}"), newline=""))
-    header = next(reader, None)
+    records = _csv_records(path, f"dataset {path}")
+    _, header = next(records, (0, None))
     if header is None:
         raise DataError(f"{path}: empty dataset file")
     has_y = header[-1].strip().upper() == "Y"
     width = len(header) - 1 if has_y else len(header)
     feats: list[list[float]] = []
     resp: list[int] = []
-    for lineno, rec in enumerate(reader, start=2):
-        if not rec:
-            continue
+    for lineno, rec in records:
         if len(rec) != len(header):
             raise DataError(f"{path}:{lineno}: expected {len(header)} columns, got {len(rec)}")
         try:

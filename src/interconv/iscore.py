@@ -14,7 +14,8 @@ mean the cell means genuinely separate.
 
 Cells are keyed mixed-radix: key = sum_m level_m * radix_m with radix_m the
 running product of the level counts of the earlier subset columns. Only
-occupied cells are stored.
+occupied cells are stored. This module owns that key arithmetic, for `convlayer`
+too, and its one bound: a partition of more than 2**62 cells is refused.
 
 Backward dropping searches greedily on the standardized score: from an
 initial subset, each stage removes the variable whose removal scores highest,
@@ -35,18 +36,32 @@ from .errors import DataError
 MAX_SUBSET = 25  # cell keys must fit comfortably in signed 64-bit
 
 
+def _cell_counts(level_counts: np.ndarray, flat: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Exact cell count of each subset laid end to end in `flat`, refusing one
+    over 2**62 so that int64 cell keys and table sizes cannot overflow."""
+    starts = np.cumsum(lengths) - lengths
+    cells = np.multiply.reduceat(level_counts[flat].astype(object), starts)
+    over = np.flatnonzero(cells > 2**62)
+    if over.size:
+        first = starts[over[0]]
+        subset = tuple(flat[first : first + lengths[over[0]]].tolist())
+        raise DataError(f"partition of subset {subset} overflows 64-bit cell keys: more than 2**62 cells")
+    return cells
+
+
+def _place_values(sizes: np.ndarray) -> np.ndarray:
+    """Mixed-radix place value of every position of each row of level counts
+    `sizes`: the product of the counts before it in its row."""
+    radix = np.ones_like(sizes)
+    np.cumprod(sizes[:, :-1], axis=1, out=radix[:, 1:])
+    return radix
+
+
 def cell_radix(level_counts: np.ndarray, subset: tuple[int, ...]) -> np.ndarray:
     """Mixed-radix place values for the columns of `subset`, in subset order."""
-    sizes = level_counts[list(subset)]
-    total = 1
-    for s in sizes.tolist():
-        total *= int(s)
-    if total > 2**62:
-        raise DataError(f"partition of subset {subset} overflows 64-bit cell keys")
-    radix = np.ones(len(subset), dtype=np.int64)
-    if len(subset) > 1:
-        radix[1:] = np.cumprod(sizes[:-1])
-    return radix
+    if len(subset):
+        _cell_counts(level_counts, np.array(subset), np.array([len(subset)]))
+    return _place_values(level_counts[list(subset)].astype(np.int64)[np.newaxis])[0]
 
 
 def encode_cells(

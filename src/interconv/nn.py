@@ -13,8 +13,8 @@ RMSprop in place, in this float order:
     w -= lr * g / (sqrt(v) + 1e-8)
 
 `train` shapes its labels once (`_targets`) and gathers each batch with `take`.
-A step computes no batch loss and checks nothing `train` checked;
-`loss_and_gradients` and `rmsprop_step` are its checked, copying forms.
+A step computes no batch loss and checks nothing `train` checked; its
+checked, copying form, built from the same private parts, is in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -172,19 +172,6 @@ def _gradients(model: MlpModel, x: np.ndarray, target: np.ndarray, hidden, probs
     return (x.T @ dz_hidden, hidden.T @ dz_out)
 
 
-def loss_and_gradients(
-    model: MlpModel, features: np.ndarray, y_true: np.ndarray
-) -> tuple[float, tuple[np.ndarray, ...]]:
-    """Mean BCE over the batch and its exact gradient for every weight matrix."""
-    x, _ = _as_matrix(features, model.arch.input_width)
-    y = np.asarray(y_true, dtype=np.float64).ravel()
-    if y.shape[0] != x.shape[0]:
-        raise DataError("feature rows and labels differ in length")
-    hidden, probs = _forward_parts(model, x)
-    loss = bce_loss(y, probs[:, -1])
-    return loss, _gradients(model, x, _targets(y, model.arch), hidden, probs)
-
-
 def _rmsprop_update(weights: tuple, state: tuple, grads: tuple, hyper: TrainingHyper) -> None:
     """One RMSprop update of `weights` and `state`, in place."""
     lr, decay = hyper.learning_rate, hyper.decay
@@ -192,14 +179,6 @@ def _rmsprop_update(weights: tuple, state: tuple, grads: tuple, hyper: TrainingH
         v *= decay
         v += (1.0 - decay) * g * g
         w -= lr * g / (np.sqrt(v) + RMS_EPS)
-
-
-def rmsprop_step(model: MlpModel, grads: tuple[np.ndarray, ...]) -> MlpModel:
-    """One RMSprop update; returns the updated model and leaves `model` as it was."""
-    weights = tuple(w.copy() for w in model.weights)
-    state = tuple(v.copy() for v in model.rms_state)
-    _rmsprop_update(weights, state, grads, model.hyper)
-    return MlpModel(arch=model.arch, weights=weights, rms_state=state, hyper=model.hyper)
 
 
 @dataclass(frozen=True)

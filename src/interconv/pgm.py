@@ -64,6 +64,8 @@ def read_pgm(path: str | Path) -> np.ndarray:
                 f"{path}: P2 raster has {len(values)} values, expected {width * height}"
             )
         img = np.array(values, dtype=np.int64)
+        if img.min() < 0:
+            raise DataError(f"{path}: negative pixel value in P2 raster")
     if img.max(initial=0) > maxval:
         raise DataError(f"{path}: pixel exceeds declared maxval {maxval}")
     return img.reshape(height, width).astype(np.uint8)

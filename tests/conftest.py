@@ -28,3 +28,10 @@ def real_dataset(n, p, seed=0):
     x = gen.random((n, p))
     y = gen.integers(0, 2, size=n, dtype=np.int64)
     return RealDataset(x, y)
+
+
+def with_blank_lines(text):
+    """`text` with a blank first line, a blank line after its second record and
+    trailing blank lines."""
+    first, second, *rest = text.splitlines()
+    return "\n".join(["", first, second, "", *rest, "", "", ""])

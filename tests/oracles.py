@@ -7,8 +7,10 @@ The exceptions are `reference_window_feature`, which composes the package's
 own per-window reference functions to pin the lockstep layer fit;
 `reference_pipeline`, which builds a whole fit and prediction from it, from
 `np.median` and `np.quantile` thresholds, from dictionary lookups and from
-the checked, copying training step; and `preset_architecture`, which reads
-the package's presets and geometry.
+the checked, copying training step (`loss_and_gradients` then
+`rmsprop_step`, built on the package's own forward pass, gradients and
+update); and `preset_architecture`, which reads the package's presets and
+geometry.
 `with_manifest` and `with_arrays` rewrite a saved bundle's manifest and
 array sections, parsing the file format by hand; `trace_report` prints a
 backward dropping trajectory.
@@ -23,6 +25,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from interconv import (
+    DataError,
     DiscreteDataset,
     GridShape,
     MlpArchitecture,
@@ -32,11 +35,10 @@ from interconv import (
     bce_loss,
     forward,
     init_model,
-    loss_and_gradients,
     partition_stats,
     preset_config,
-    rmsprop_step,
 )
+from interconv.nn import MlpModel, _as_matrix, _forward_parts, _gradients, _rmsprop_update, _targets
 from interconv.pipeline import geometry_chain
 
 
@@ -269,6 +271,28 @@ def reference_softmax(z):
     shifted = z - z.max(axis=1, keepdims=True)
     ez = np.exp(shifted)
     return ez / ez.sum(axis=1, keepdims=True)
+
+
+def loss_and_gradients(model, features, y_true):
+    """Mean BCE over the batch and its exact gradient for every weight
+    matrix: `train`'s step, checked, from the package's own forward pass
+    and gradients."""
+    x, _ = _as_matrix(features, model.arch.input_width)
+    y = np.asarray(y_true, dtype=np.float64).ravel()
+    if y.shape[0] != x.shape[0]:
+        raise DataError("feature rows and labels differ in length")
+    hidden, probs = _forward_parts(model, x)
+    loss = bce_loss(y, probs[:, -1])
+    return loss, _gradients(model, x, _targets(y, model.arch), hidden, probs)
+
+
+def rmsprop_step(model, grads):
+    """`train`'s RMSprop update by the package's own `_rmsprop_update`, on
+    copies: returns the updated model and leaves `model` as it was."""
+    weights = tuple(w.copy() for w in model.weights)
+    state = tuple(v.copy() for v in model.rms_state)
+    _rmsprop_update(weights, state, grads, model.hyper)
+    return MlpModel(arch=model.arch, weights=weights, rms_state=state, hyper=model.hyper)
 
 
 def reference_train(arch, x, y, hyper):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from oracles import (
     finite_difference_grads,
+    loss_and_gradients,
     pairwise_auc,
     parity_bayes_auc,
     preset_architecture,
@@ -42,7 +43,6 @@ from interconv import (
     influence_score,
     init_model,
     load_bundle,
-    loss_and_gradients,
     output_dim,
     param_count,
     predict_bundle,

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import with_blank_lines
 from oracles import with_arrays, with_manifest
 
 from interconv import (
@@ -283,6 +284,53 @@ def test_predict_recognises_a_bom_manifest(tmp_path, capsys):
         predictions.append((out / "predictions.csv").read_bytes())
     assert predictions[1] == predictions[0]
     assert predictions[0].splitlines()[1].split(b",")[1] == b"im0.pgm"
+
+
+def blank_lined_copy(path):
+    """A copy of `path` with blank lines before, inside and after its records."""
+    blank = path.with_name(f"blank_{path.name}")
+    blank.write_text(with_blank_lines(path.read_text()))
+    return blank
+
+
+def test_fit_reads_train_and_val_files_with_blank_lines(tmp_path, synth_dir, capsys):
+    bundles = []
+    for name in (lambda p: p, blank_lined_copy):
+        out = tmp_path / f"fit_{len(bundles)}"
+        code, _, err = run(
+            capsys, "fit", "--out", str(out), "--set", "layers=2:1", "--set", "epochs=2",
+            "--set", f"train={name(synth_dir / 'train.csv')}", "--set", f"val={name(synth_dir / 'test.csv')}",
+        )
+        assert code == 0, err
+        bundles.append((out / "model.bundle").read_bytes())
+    assert bundles[1] == bundles[0]
+
+
+def test_predict_reads_data_with_blank_lines(tmp_path, synth_dir, fit_dir, capsys):
+    plain, _ = bom_corpus(tmp_path)
+    images = tmp_path / "images"
+    code, _, err = run(capsys, "fit", "--out", str(images), "--set", f"images={plain}", "--set", "layers=2:1")
+    assert code == 0, err
+    for run_dir, data in ((fit_dir, synth_dir / "test.csv"), (images, plain)):
+        predictions = []
+        for path in (data, blank_lined_copy(data)):
+            out = tmp_path / f"pred_{path.stem}"
+            code, _, err = run(
+                capsys, "predict", "--bundle", str(run_dir / "model.bundle"), "--data", str(path), "--out", str(out)
+            )
+            assert code == 0, err
+            predictions.append((out / "predictions.csv").read_bytes())
+        assert predictions[1] == predictions[0]
+
+
+def test_synth_modules_skip_empty_entries(tmp_path, capsys):
+    written = []
+    for modules in ("1,2:0.5;3,4,5:0.5", "1,2:0.5;;3,4,5:0.5"):
+        out = tmp_path / f"synth_{len(written)}"
+        code, _, err = run(capsys, "synth", "--out", str(out), "--set", f"synth_modules={modules}")
+        assert code == 0, err
+        written.append((out / "train.csv").read_bytes())
+    assert written[1] == written[0]
 
 
 def test_cli_defaults_are_the_library_defaults():

@@ -1,6 +1,8 @@
-"""Window geometry and dataset invariants, and where `src/` reads outside text."""
+"""Window geometry and dataset invariants, where `src/` reads outside text and
+parses CSV, and the names the package exports."""
 
 import ast
+import types
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import interconv
 from interconv import (
     DataError,
     DiscreteDataset,
@@ -303,3 +306,41 @@ def test_outside_text_is_read_in_one_place():
         ("decode", "dataio", "_read_sections"),
         ("read", "core", "_read_text"),
     ]
+
+
+def test_csv_is_parsed_in_one_place():
+    """Only `core._csv_records` runs `csv.reader`, so every table takes its
+    first non-empty record as the header by the same rule."""
+    sites = []
+    for path in sorted((Path(__file__).parents[1] / "src" / "interconv").glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(func, ast.FunctionDef):
+                sites += [(path.stem, func.name) for node in ast.walk(func) if ast.unparse(node) == "csv.reader"]
+    assert sites == [("core", "_csv_records")]
+
+
+# Every public name the package exports, modules aside: a change to this
+# list is a change to the public surface.
+PUBLIC_NAMES = [
+    "BdaStep", "BdaTrace", "BundleFormatError", "BundleIntegrityError", "BundleVersionError", "ConfigError",
+    "ConvStack", "DataError", "DiscreteDataset", "Discretizer", "EvalSummary", "FittedConvLayer",
+    "GENERATOR_ID", "GeometryError", "GridShape", "ImageSet", "InfluenceScore", "InterconvError",
+    "MlpArchitecture", "MlpModel", "ModelBundle", "NumericError", "ParityModelSpec", "PipelineConfig",
+    "RealDataset", "RocCurve", "TrainResult", "TrainingHyper", "UndefinedMetricError", "WindowFeature",
+    "WindowSpec", "apply_discretizer", "auc", "augment_images", "backward_drop", "bce_loss", "encode_cells",
+    "enumerate_windows", "evaluate_bundle", "fit_discretizer", "fit_layer", "fit_pipeline", "forward",
+    "generate", "influence_score", "init_model", "load_bundle", "load_images", "output_dim", "output_grid",
+    "param_count", "partition_stats", "predict_bundle", "preset_config", "read_dataset_csv", "read_pgm",
+    "roc_curve", "save_bundle", "sensitivity", "specificity", "split_images", "stack_layers",
+    "stack_outputs", "theoretical_rate", "train", "transform", "transform_stack", "write_dataset_csv",
+    "write_pgm", "write_roc_csv",
+]
+
+
+def test_public_surface_is_pinned():
+    public = sorted(
+        name for name, value in vars(interconv).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert public == PUBLIC_NAMES
+    assert len(public) == 70

@@ -8,6 +8,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
+from conftest import with_blank_lines
 from oracles import _rewrite_sections, with_arrays, with_manifest
 
 from interconv import (
@@ -111,6 +112,9 @@ def test_csv_image_values_outside_0_255_are_refused(tmp_path, value):
         ("missing.pgm,0\n", "missing.pgm"),
         ("a.pgm,one\n", "m.csv:1: label 'one' is not an integer"),
         ("a.png,0\n", "a.png: unsupported image format"),
+        ("\npath,label\n\na.pgm,one\n", "m.csv:4: label 'one' is not an integer"),
+        ("path,label\npath,label\n", "m.csv:2: label 'label' is not an integer"),
+        ("\n\n", "no images"),
     ],
 )
 def test_manifest_errors(tmp_path, content, match):
@@ -248,12 +252,40 @@ def test_dataset_csv_without_response(tmp_path):
         "X1,Y\n0.5\n",
         "X1,Y\n0.5,2\n",
         "X1,Y\nabc,1\n",
+        "\n\n",
     ],
 )
 def test_dataset_csv_errors(tmp_path, content):
     path = tmp_path / "bad.csv"
     path.write_text(content)
     with pytest.raises(DataError):
+        read_dataset_csv(path)
+
+
+def test_blank_lines_anywhere_in_a_dataset_csv_are_skipped(tmp_path):
+    gen = np.random.default_rng(4)
+    write_dataset_csv(tmp_path / "d.csv", RealDataset(gen.random((6, 3)), gen.integers(0, 2, size=6)))
+    blank = tmp_path / "blank.csv"
+    blank.write_text(with_blank_lines((tmp_path / "d.csv").read_text()))
+    plain, spaced = read_dataset_csv(tmp_path / "d.csv"), read_dataset_csv(blank)
+    assert spaced.features.tobytes() == plain.features.tobytes()
+    assert spaced.response.tobytes() == plain.response.tobytes()
+
+
+def test_blank_lines_anywhere_in_a_manifest_are_skipped(tmp_path):
+    manifest = make_corpus(tmp_path, n0=3, n1=2, side=4)
+    blank = tmp_path / "blank.csv"
+    blank.write_text(with_blank_lines(manifest.read_text()))
+    plain, spaced = load_images(manifest), load_images(blank)
+    assert spaced.intensities.tobytes() == plain.intensities.tobytes()
+    assert spaced.labels.tobytes() == plain.labels.tobytes()
+    assert (spaced.sources, spaced.grid) == (plain.sources, plain.grid)
+
+
+def test_dataset_csv_messages_number_records_as_the_file_does(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("\nX1,Y\n\n0.5,2\n")
+    with pytest.raises(DataError, match=re.escape("bad.csv:4: response must be 0 or 1, got 2.0")):
         read_dataset_csv(path)
 
 

@@ -1,5 +1,7 @@
 """Influence score against a dictionary-grouping oracle and hand arithmetic."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -103,6 +105,8 @@ def test_cell_radix_mixed_levels():
     levels = np.array([2, 3, 2, 5], dtype=np.int64)
     assert cell_radix(levels, (0, 1, 3)).tolist() == [1, 2, 6]
     assert cell_radix(levels, (3, 1, 0)).tolist() == [1, 5, 15]
+    empty = cell_radix(levels, ())
+    assert (empty.shape, empty.dtype) == ((0,), np.int64)
 
 
 def test_encode_decode_round_trip(rng):
@@ -145,5 +149,5 @@ def test_subset_validation():
 def test_radix_overflow_guard():
     # 2^63 cells cannot be keyed in int64
     levels = np.full(63, 2, dtype=np.int64)
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match=re.escape("overflows 64-bit cell keys: more than 2**62 cells")):
         cell_radix(levels, tuple(range(63)))

