@@ -17,9 +17,12 @@ Serving reads a dense lookup table built from a layer's flat arrays: window
 w owns the slice [offset_w, offset_w + space_w), space_w being the product
 of its subset's level counts, holding its cell means at their mixed-radix
 cell keys (as `encode_cells` keys them) and its fallback mean everywhere
-else. A row's value for window w is then one gather at offset_w plus its cell
-key. Layers whose table would hold more than `TABLE_LIMIT` entries keep the
-per-window `searchsorted` over each window's occupied cell keys.
+else. Rows are coded in fixed-width slot planes: every subset is padded to
+the longest, slot s of each window reads one pixel's level times the slot's
+place value (0 on padding, so padding adds nothing), and a row's value for
+window w is one gather at offset_w plus its slot sum. Codes lie below the
+table size, which `TABLE_LIMIT` holds far under 2**31, so they are int32.
+Larger layers keep a per-window `searchsorted` over their occupied keys.
 
 Stacking layers re-binarizes the engineered features (per-feature median by
 default) before the next layer is fit; the thresholds fitted between layers
@@ -147,12 +150,14 @@ class FittedConvLayer:
 
     @cached_property
     def lookup_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
-        """(radix, subset starts, window offsets, table) for dense lookup, or
-        None when the table would hold more than `TABLE_LIMIT` entries.
+        """(pixels, radix, window offsets, table) for dense lookup, or None
+        when the table would hold more than `TABLE_LIMIT` entries.
 
-        `radix` is each subset element's mixed-radix place value; window w's
-        code for a row is the sum over its subset of level * radix, plus
-        offset[w], and `table` at that code is the row's engineered value.
+        Subsets are padded to kmax slots: `pixels` (kmax x W) is the pixel
+        each slot reads and `radix` (int32, kmax x W x 1) its place value,
+        both 0 on padding. Window w's code for a row is the sum over its
+        slots of level * radix, plus offset[w] (int32, W x 1), and `table`
+        at that code is the row's engineered value.
         """
         # every subset padded to one width with level count 1, which changes no product
         sizes = np.ones((self.n_windows, int(self.subset_len.max())), dtype=np.int64)
@@ -166,7 +171,10 @@ class FittedConvLayer:
         offset = np.cumsum(space) - space
         table = np.repeat(self.fallback, space)
         table[np.repeat(offset, self.ncells) + self.cell_keys] = self.cell_means
-        return radix[held], np.cumsum(self.subset_len) - self.subset_len, offset, table
+        pixels = np.zeros_like(sizes)
+        pixels[held] = self.subset_flat
+        slot_radix = (radix * held).T.astype(np.int32, order="C")[..., np.newaxis]
+        return np.ascontiguousarray(pixels.T), slot_radix, offset.astype(np.int32)[:, np.newaxis], table
 
 
 # Most entries (8 bytes each) a layer's dense lookup table may hold.
@@ -374,9 +382,10 @@ def transform(layer: FittedConvLayer, data: DiscreteDataset) -> RealDataset:
 
     Uses only training-time state (cell means and fallback); cells unseen at
     fit time map to the fallback mean. Rows are coded in chunks of at most
-    `GATHER_LIMIT` subset elements and read from the layer's dense lookup
-    table with one gather per chunk; a layer over `TABLE_LIMIT` entries looks
-    each window's cell keys up in its sorted occupied keys instead.
+    `GATHER_LIMIT` padded slots: one gather of whole pixel rows, a product
+    with the slot place values, an int32 sum over the slots, and one gather
+    from the layer's dense lookup table. A layer over `TABLE_LIMIT` entries
+    looks each window's cell keys up in its sorted occupied keys instead.
     """
     if data.width != layer.input_grid.size:
         raise DataError(
@@ -388,11 +397,13 @@ def transform(layer: FittedConvLayer, data: DiscreteDataset) -> RealDataset:
     cols = np.empty((data.n, layer.n_windows), dtype=np.float64)
     lookup = layer.lookup_table
     if lookup is not None:
-        radix, starts, offset, table = lookup
-        step = max(1, GATHER_LIMIT // len(radix))
+        pixels, radix, offset, table = lookup
+        step = max(1, GATHER_LIMIT // pixels.size)
         for lo in range(0, data.n, step):
-            levels = data.features[lo : lo + step, layer.subset_flat] * radix  # int64 by promotion
-            cols[lo : lo + step] = table[np.add.reduceat(levels, starts, axis=1) + offset]
+            levels = data.features[lo : lo + step].T.take(pixels, axis=0)  # slots x windows x rows
+            codes = np.add.reduce(levels * radix, axis=0, dtype=np.int32)
+            codes += offset
+            cols[lo : lo + step] = table.take(codes).T
         return RealDataset(cols, data.response)
     for j, f in enumerate(layer.features):
         keys = encode_cells(data.features, f.selected_subset, layer.level_counts)

@@ -53,7 +53,7 @@ def _place_values(sizes: np.ndarray) -> np.ndarray:
     """Mixed-radix place value of every position of each row of level counts
     `sizes`: the product of the counts before it in its row."""
     radix = np.ones_like(sizes)
-    np.cumprod(sizes[:, :-1], axis=1, out=radix[:, 1:])
+    np.multiply.accumulate(sizes[:, :-1], axis=1, out=radix[:, 1:])
     return radix
 
 

@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import naive_influence, reference_window_feature
+from oracles import naive_influence, reference_lookup, reference_window_feature
 
 from conftest import binary_dataset
 from interconv import convlayer
 from interconv import (
     DataError,
     DiscreteDataset,
+    FittedConvLayer,
     GridShape,
     WindowSpec,
     enumerate_windows,
@@ -422,6 +423,81 @@ def test_in_cap_layers_never_read_per_window_records(monkeypatch):
     monkeypatch.setattr(convlayer, "TABLE_LIMIT", 0)
     with pytest.raises(AssertionError, match="per-window lookup"):
         transform(dataclasses.replace(layer), fresh)
+
+
+def looked_up_by_reference(layer, data):
+    """`reference_lookup` over the layer's per-window records."""
+    windows = [(f.selected_subset, None, f.cell_keys, f.cell_means, f.fallback_mean, None) for f in layer.features]
+    return reference_lookup(data.features.astype(np.int64), windows, layer.level_counts)
+
+
+def test_a_table_of_exactly_table_limit_entries_serves_its_last_cell(monkeypatch):
+    """One 5x5 window whose 20-pixel binary subset has 2**20 cells, so the
+    dense table holds exactly `TABLE_LIMIT` entries; an all-ones row codes
+    to the last of them."""
+    # dense codes lie below their table's size, so int32 holds them
+    assert convlayer.TABLE_LIMIT < 2**31
+    subset = np.array([p for p in range(25) if p % 5 != 2])
+    layer = FittedConvLayer(
+        input_grid=GridShape(5, 5),
+        spec=WindowSpec(window=5, stride=1),
+        level_counts=np.full(25, 2, dtype=np.int64),
+        subset_len=np.array([20]),
+        subset_flat=subset,
+        ncells=np.array([3]),
+        cell_keys=np.array([0, 2**19, 2**20 - 1]),
+        cell_means=np.array([0.125, 0.5, 0.875]),
+        fallback=np.array([0.25]),
+        iscore=np.array([2.0]),
+        auc=np.array([0.75]),
+    )
+    assert len(layer.lookup_table[-1]) == convlayer.TABLE_LIMIT == 2**20
+    x = np.ones((4, 25), dtype=np.int64)
+    x[1] = 0  # cell 0
+    x[2, subset[:-1]] = 0  # only the last subset pixel set: cell 2**19
+    x[3, subset[0]] = 0  # cell 2**20 - 2, unseen
+    rows = DiscreteDataset(x, np.array([1, 0, 1, 0]), layer.level_counts)
+    dense = transform(layer, rows).features
+    assert dense[:, 0].tolist() == [0.875, 0.125, 0.5, 0.25]
+    assert dense.tobytes() == looked_up_by_reference(layer, rows).tobytes()
+    monkeypatch.setattr(convlayer, "TABLE_LIMIT", 0)
+    sparse = dataclasses.replace(layer)
+    assert sparse.lookup_table is None
+    assert transform(sparse, rows).features.tobytes() == dense.tobytes()
+
+
+@pytest.mark.parametrize("gather_limit", [convlayer.GATHER_LIMIT, 1])
+def test_padded_slots_add_nothing_to_a_code(monkeypatch, gather_limit):
+    """Subsets of one pixel among subsets of the whole 2x2 window, at three
+    int64 levels per column: the short subsets' padding slots read column 0
+    at place value 0. Held-out rows land in cells unseen at fit time."""
+    monkeypatch.setattr(convlayer, "GATHER_LIMIT", gather_limit)  # 1: one row per chunk
+    grid, spec = GridShape(4, 4), WindowSpec(window=2, stride=1)
+    gen = np.random.default_rng(26)
+    subsets, keys = [], []
+    for w, window in enumerate(enumerate_windows(grid, spec)):
+        subset = list(window) if w % 2 else [window[w % 4]]
+        subsets.append(subset)
+        keys.append(np.sort(gen.choice(3 ** len(subset), size=min(2 + w, 3 ** len(subset) - 1), replace=False)))
+    layer = FittedConvLayer(
+        input_grid=grid,
+        spec=spec,
+        level_counts=np.full(grid.size, 3, dtype=np.int64),
+        subset_len=np.array([len(s) for s in subsets]),
+        subset_flat=np.concatenate(subsets),
+        ncells=np.array([len(k) for k in keys]),
+        cell_keys=np.concatenate(keys),
+        cell_means=gen.random(sum(len(k) for k in keys)),
+        fallback=gen.random(len(subsets)),
+        iscore=np.zeros(len(subsets)),
+        auc=np.full(len(subsets), 0.5),
+    )
+    assert {1, 4} == set(layer.subset_len.tolist()) and layer.lookup_table is not None
+    rows = DiscreteDataset(gen.integers(0, 3, size=(200, grid.size)), gen.integers(0, 2, size=200), layer.level_counts)
+    assert rows.features.dtype == np.int64 and (rows.features[:, 0] > 0).any()
+    want = looked_up_by_reference(layer, rows)
+    assert (want == layer.fallback).any()  # unseen cells
+    assert transform(layer, rows).features.tobytes() == want.tobytes()
 
 
 def narrow_and_wide(x, y):
