@@ -313,9 +313,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_transform(args, bundle, data, sources) -> int:
-    feats = bundle_features(bundle, data.features)
+    engineered = RealDataset(bundle_features(bundle, data.features), data.response)
     out = _out_dir(args)
-    engineered = RealDataset(feats.features, data.response)
     dataio.write_dataset_csv(out / "features.csv", engineered)
     print(f"wrote {out / 'features.csv'} ({engineered.n} rows x {engineered.width} features)")
     return 0

@@ -27,6 +27,8 @@ Larger layers keep a per-window `searchsorted` over their occupied keys.
 Stacking layers re-binarizes the engineered features (per-feature median by
 default) before the next layer is fit; the thresholds fitted between layers
 travel with the stack so new data can be pushed through identically.
+Serving runs the same coding kernel as `transform` through one walk over
+the stages, on arrays: its rows are checked once, before the first stage.
 """
 
 from __future__ import annotations
@@ -394,22 +396,27 @@ def transform(layer: FittedConvLayer, data: DiscreteDataset) -> RealDataset:
     # also what keeps a dense code inside its own window's slice of the table
     if (data.level_counts > layer.level_counts).any():
         raise DataError("data has more levels per column than the layer was fit on")
-    cols = np.empty((data.n, layer.n_windows), dtype=np.float64)
+    return RealDataset(_engineered(layer, data.features), data.response)
+
+
+def _engineered(layer: FittedConvLayer, levels: np.ndarray) -> np.ndarray:
+    """`transform`'s kernel: its features for levels it would accept, unchecked."""
+    cols = np.empty((levels.shape[0], layer.n_windows), dtype=np.float64)
     lookup = layer.lookup_table
     if lookup is not None:
         pixels, radix, offset, table = lookup
         step = max(1, GATHER_LIMIT // pixels.size)
-        for lo in range(0, data.n, step):
-            levels = data.features[lo : lo + step].T.take(pixels, axis=0)  # slots x windows x rows
-            codes = np.add.reduce(levels * radix, axis=0, dtype=np.int32)
+        for lo in range(0, levels.shape[0], step):
+            slots = levels[lo : lo + step].T.take(pixels, axis=0)  # slots x windows x rows
+            codes = np.add.reduce(slots * radix, axis=0, dtype=np.int32)
             codes += offset
             cols[lo : lo + step] = table.take(codes).T
-        return RealDataset(cols, data.response)
+        return cols
     for j, f in enumerate(layer.features):
-        keys = encode_cells(data.features, f.selected_subset, layer.level_counts)
+        keys = encode_cells(levels, f.selected_subset, layer.level_counts)
         pos = np.minimum(np.searchsorted(f.cell_keys, keys), len(f.cell_keys) - 1)
         cols[:, j] = np.where(f.cell_keys[pos] == keys, f.cell_means[pos], f.fallback_mean)
-    return RealDataset(cols, data.response)
+    return cols
 
 
 @dataclass(frozen=True, eq=False)
@@ -466,27 +473,32 @@ def stack_layers(
     return ConvStack(layers=tuple(layers), rediscretizers=tuple(rediscretizers)), outputs
 
 
+def _walk(stages, x: np.ndarray) -> list[np.ndarray]:
+    """Each (discretizer, layer) stage's features for real rows `x`, unchecked:
+    `ConvStack` and `ModelBundle` chain the widths, and `transform`'s level-count
+    check holds by construction, as the levels are binary and every layer
+    refuses a level count below 2."""
+    outputs = [x]
+    for disc, layer in stages:
+        outputs.append(_engineered(layer, (outputs[-1] > disc.thresholds).view(np.uint8)))
+    return outputs[1:]
+
+
 def stack_outputs(stack: ConvStack, data: DiscreteDataset) -> list[RealDataset]:
     """Engineered features of every layer for `data`, in layer order."""
-    outputs: list[RealDataset] = []
-    current = data
-    for i, layer in enumerate(stack.layers):
-        engineered = transform(layer, current)
-        outputs.append(engineered)
-        if i < len(stack.rediscretizers):
-            current = apply_discretizer(stack.rediscretizers[i], engineered)
-    return outputs
+    first = transform(stack.layers[0], data)
+    rest = _walk(zip(stack.rediscretizers, stack.layers[1:]), first.features)
+    return [first, *(RealDataset(out, data.response) for out in rest)]
 
 
 FEATURE_MODES = ("last", "concat")
 
 
-def _join_outputs(outputs: list[RealDataset], mode: str) -> RealDataset:
+def _join_outputs(outputs: list[np.ndarray], mode: str) -> np.ndarray:
     if mode == "last":
         return outputs[-1]
     if mode == "concat":
-        joined = np.concatenate([o.features for o in outputs], axis=1)
-        return RealDataset(joined, outputs[0].response)
+        return np.concatenate(outputs, axis=1)
     raise DataError(f"unknown feature mode {mode!r}")
 
 
@@ -498,5 +510,4 @@ def transform_stack(
     mode "last" keeps the deepest layer's features; "concat" joins every
     layer's features left to right (shallow first).
     """
-    return _join_outputs(stack_outputs(stack, data), mode)
-
+    return RealDataset(_join_outputs([o.features for o in stack_outputs(stack, data)], mode), data.response)

@@ -142,18 +142,23 @@ def _check_response(response: np.ndarray, n: int) -> np.ndarray:
     return response.astype(np.int64, copy=False)
 
 
+def _matrix(features, dtype=None, *, finite: bool = False) -> np.ndarray:
+    """`features` as a non-empty 2-d array, the shape rule of both dataset
+    types; `finite` adds `RealDataset`'s rule."""
+    feats = np.asarray(features, dtype=dtype)
+    if feats.ndim != 2 or feats.shape[0] < 1 or feats.shape[1] < 1:
+        raise DataError(f"features must be a non-empty 2-d array, got shape {feats.shape}")
+    if finite and not np.isfinite(feats).all():
+        raise DataError("features must be finite")
+    return feats
+
+
 @dataclass(frozen=True, eq=False)
 class _Dataset:
-    """The fields both dataset types share, their non-empty 2-d check, `n` and `width`."""
+    """The fields both dataset types share, `n` and `width`."""
 
     features: np.ndarray
     response: np.ndarray
-
-    def _checked_features(self, dtype=None) -> np.ndarray:
-        feats = np.asarray(self.features, dtype=dtype)
-        if feats.ndim != 2 or feats.shape[0] < 1 or feats.shape[1] < 1:
-            raise DataError(f"features must be a non-empty 2-d array, got shape {feats.shape}")
-        return feats
 
     @property
     def n(self) -> int:
@@ -179,7 +184,7 @@ class DiscreteDataset(_Dataset):
     level_counts: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        feats = self._checked_features()
+        feats = _matrix(self.features)
         narrow = feats.dtype == np.bool_
         if not narrow:
             if not np.issubdtype(feats.dtype, np.integer):
@@ -217,9 +222,7 @@ class RealDataset(_Dataset):
     """
 
     def __post_init__(self) -> None:
-        feats = self._checked_features(np.float64)
-        if not np.isfinite(feats).all():
-            raise DataError("features must be finite")
+        feats = _matrix(self.features, np.float64, finite=True)
         resp = _check_response(self.response, feats.shape[0])
         object.__setattr__(self, "features", _freeze(feats))
         object.__setattr__(self, "response", _freeze(resp))

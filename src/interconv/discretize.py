@@ -48,6 +48,10 @@ class Discretizer:
     def width(self) -> int:
         return self.thresholds.shape[0]
 
+    def _check_width(self, width: int) -> None:
+        if width != self.width:
+            raise DataError(f"discretizer was fit on {self.width} columns, data has {width}")
+
 
 def parse_discretizer_spec(text: str) -> tuple[str, float | None]:
     """Parse 'median', 'global:<cut>', or 'quantile:<q>'."""
@@ -107,9 +111,6 @@ def _column_medians(x: np.ndarray) -> np.ndarray:
 def apply_discretizer(disc: Discretizer, data: RealDataset) -> DiscreteDataset:
     """Binarize `data` with previously fitted thresholds; the levels are
     stored as uint8 (see `DiscreteDataset`)."""
-    if data.width != disc.width:
-        raise DataError(
-            f"discretizer was fit on {disc.width} columns, data has {data.width}"
-        )
+    disc._check_width(data.width)
     levels = data.features > disc.thresholds[np.newaxis, :]
     return DiscreteDataset(levels, data.response, np.full(data.width, 2, dtype=np.int64))

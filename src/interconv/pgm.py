@@ -56,7 +56,9 @@ def read_pgm(path: str | Path) -> np.ndarray:
         img = np.frombuffer(raster, dtype=np.uint8)
     else:
         try:
-            values = [int(t) for t, _ in _tokens(data[end:])]
+            # capped at maxval + 1 while still Python ints, so a sample past int64
+            # fails the maxval check below instead of the int64 cast
+            values = [min(int(t), maxval + 1) for t, _ in _tokens(data[end:])]
         except ValueError as exc:
             raise DataError(f"{path}: non-numeric token in P2 raster") from exc
         if len(values) != width * height:

@@ -13,8 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .convlayer import FEATURE_MODES, ConvStack, _join_outputs, stack_layers, stack_outputs, transform_stack
-from .core import DiscreteDataset, GridShape, RealDataset, WindowSpec, _write_csv, output_grid
+from .convlayer import FEATURE_MODES, ConvStack, _join_outputs, _walk, stack_layers, transform_stack
+from .core import GridShape, RealDataset, WindowSpec, _matrix, _write_csv, output_grid
 from .dataio import ModelBundle, save_bundle
 from .discretize import apply_discretizer, fit_discretizer, parse_discretizer_spec
 from .errors import ConfigError, DataError
@@ -23,7 +23,8 @@ from .nn import (
     MlpArchitecture,
     TrainingHyper,
     TrainResult,
-    forward,
+    _as_matrix,
+    _forward_parts,
     param_count,
     train,
     write_loss_csv,
@@ -108,7 +109,7 @@ def fit_pipeline(
         stack, outputs = stack_layers(
             ddata, grid, list(config.layers), rediscretize=config.rediscretizer
         )
-        features = _join_outputs(outputs, config.features_mode)
+        features = RealDataset(_join_outputs([o.features for o in outputs], config.features_mode), data.response)
         val_features = None
         if val_data is not None:
             val_d = apply_discretizer(disc, val_data)
@@ -136,27 +137,27 @@ def fit_pipeline(
     return bundle, FitReport(train_result=result)
 
 
-def _input_rows(bundle: ModelBundle, features: np.ndarray) -> RealDataset | DiscreteDataset:
-    """Raw feature rows as the bundle's first stage sees them: discretized
-    when it has window layers, unchanged otherwise."""
-    dataset = RealDataset(features, np.zeros(np.shape(features)[:1], dtype=np.int64))
+def _served(bundle: ModelBundle, features: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The classifier's input and every layer's engineered features (none
+    without window layers) for raw rows, checked once, here, with the messages
+    the checked forms give: non-empty 2-d, finite, the bundle's width."""
+    x = _matrix(features, np.float64, finite=True)
     if bundle.stack is None:
-        return dataset
-    return apply_discretizer(bundle.discretizer, dataset)
+        # C order, as a dataset holds rows: a matmul's last bits can follow the layout
+        return _as_matrix(np.ascontiguousarray(x), bundle.arch.input_width)[0], []
+    bundle.discretizer._check_width(x.shape[1])
+    outputs = _walk(zip((bundle.discretizer, *bundle.stack.rediscretizers), bundle.stack.layers), x)
+    return _join_outputs(outputs, bundle.features_mode), outputs
 
 
-def bundle_features(bundle: ModelBundle, features: np.ndarray) -> RealDataset:
-    """Push raw feature rows through the bundle's discretizer and stack."""
-    rows = _input_rows(bundle, features)
-    if bundle.stack is None:
-        return rows
-    return transform_stack(bundle.stack, rows, mode=bundle.features_mode)
+def bundle_features(bundle: ModelBundle, features: np.ndarray) -> np.ndarray:
+    """The classifier's input: raw feature rows pushed through the bundle's discretizer and stack."""
+    return _served(bundle, features)[0]
 
 
 def predict_bundle(bundle: ModelBundle, features: np.ndarray) -> np.ndarray:
     """Class-1 probability for every row of raw input features."""
-    feats = bundle_features(bundle, features)
-    return forward(bundle, feats.features)
+    return _forward_parts(bundle, bundle_features(bundle, features))[1][:, -1]
 
 
 def layer_maps(bundle: ModelBundle, features: np.ndarray) -> list[np.ndarray]:
@@ -164,12 +165,8 @@ def layer_maps(bundle: ModelBundle, features: np.ndarray) -> list[np.ndarray]:
     array per layer."""
     if bundle.stack is None:
         raise DataError("bundle has no window layers to map")
-    outputs = stack_outputs(bundle.stack, _input_rows(bundle, features))
-    maps = []
-    for layer, out in zip(bundle.stack.layers, outputs):
-        g = layer.output_grid
-        maps.append(out.features.reshape(-1, g.rows, g.cols))
-    return maps
+    grids = [layer.output_grid for layer in bundle.stack.layers]
+    return [out.reshape(-1, g.rows, g.cols) for g, out in zip(grids, _served(bundle, features)[1])]
 
 
 @dataclass(frozen=True)

@@ -40,8 +40,11 @@ class ParityModelSpec:
 
     def __post_init__(self) -> None:
         for name, least in (("n_features", 1), ("n_train", 1), ("n_test", 0)):
-            if getattr(self, name) < least:
-                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if value < least:
+                raise ConfigError(f"{name} must be >= {least}, got {value}")
+            if value > np.iinfo(np.intp).max:  # no array dimension can be larger
+                raise ConfigError(f"{name} must be at most {np.iinfo(np.intp).max}, got {value}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not self.modules:

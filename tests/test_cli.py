@@ -482,6 +482,18 @@ def test_negative_synth_seed_exits_2(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_synth_size_past_an_array_dimension_exits_2(tmp_path, capsys):
+    # refused from the value alone: nothing of that size is ever drawn
+    code, out, err = run(
+        capsys, "synth", "--out", str(tmp_path / "x"), "--set", "synth_features=99999999999999999999"
+    )
+    assert code == 2
+    assert f"synth_features: n_features must be at most {np.iinfo(np.intp).max}" in err
+    assert "Traceback" not in err
+    assert out == ""
+    assert not (tmp_path / "x").exists()
+
+
 def test_synth_module_index_outside_the_features_exits_2(tmp_path, capsys):
     code, out, err = run(
         capsys,

@@ -82,3 +82,11 @@ def test_error_names_the_file(tmp_path):
     path.write_bytes(b"P3\n1 1\n255\n0\n")
     with pytest.raises(DataError, match="oops"):
         read_pgm(path)
+
+
+@pytest.mark.parametrize("sample", [2**63, 2**64 + 3, 10**30])
+def test_p2_sample_past_int64_is_refused_as_over_maxval(tmp_path, sample):
+    path = tmp_path / "huge.pgm"
+    path.write_bytes(f"P2\n2 1\n255\n3 {sample}\n".encode())
+    with pytest.raises(DataError, match="pixel exceeds declared maxval 255"):
+        read_pgm(path)

@@ -1,6 +1,7 @@
 """Pipeline orchestration: configuration, geometry, presets, and fit/eval."""
 
 import csv
+import re
 from pathlib import Path
 from unittest import mock
 
@@ -24,6 +25,7 @@ from interconv import (
     WindowSpec,
     auc,
     evaluate_bundle,
+    forward,
     fit_pipeline,
     generate,
     load_bundle,
@@ -387,3 +389,113 @@ def test_readme_library_use_snippet_runs(tmp_path, monkeypatch, capsys):
     exec(compile(snippet, "README.md", "exec"), {})
     assert 0.0 <= float(capsys.readouterr().out) <= 1.0
     load_bundle(tmp_path / "model.bundle")
+
+
+def model3_bundle(features_mode="last"):
+    """Preset model3's two layers, (2,2,6) then (2,2,1), on a 16x16 grid."""
+    gen = np.random.default_rng(11)
+    y = gen.integers(0, 2, size=120)
+    x = gen.random((120, 256)) + 0.2 * y[:, np.newaxis]
+    config = preset_config("model3", GridShape(16, 16))
+    config = PipelineConfig(
+        grid=config.grid, layers=config.layers, features_mode=features_mode, hyper=TrainingHyper(epochs=2)
+    )
+    return fit_pipeline(config, RealDataset(x, y))[0]
+
+
+def parity_bundle():
+    return fit_pipeline(small_config(), synthetic_real(seed=8))[0]
+
+
+def flat_bundle():
+    return fit_pipeline(PipelineConfig(hyper=TrainingHyper(epochs=1)), synthetic_real(seed=9))[0]
+
+
+PREDICT_REFUSALS = {
+    "1-d": (parity_bundle, np.zeros(36), "features must be a non-empty 2-d array, got shape (36,)"),
+    "no rows": (parity_bundle, np.zeros((0, 36)), "features must be a non-empty 2-d array, got shape (0, 36)"),
+    "nan": (parity_bundle, np.full((2, 36), np.nan), "features must be finite"),
+    "inf": (model3_bundle, np.full((1, 256), np.inf), "features must be finite"),
+    "stack width": (model3_bundle, np.zeros((2, 255)), "discretizer was fit on 256 columns, data has 255"),
+    "flat width": (flat_bundle, np.zeros((2, 35)), "features of width 36 expected, got shape (2, 35)"),
+}
+
+
+@pytest.mark.parametrize("case", PREDICT_REFUSALS, ids=list(PREDICT_REFUSALS))
+def test_predict_bundle_refuses_bad_rows(case):
+    make, rows, message = PREDICT_REFUSALS[case]
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        predict_bundle(make(), rows)
+
+
+@pytest.mark.parametrize("make", [model3_bundle, parity_bundle], ids=["model3", "parity"])
+def test_predict_bundle_builds_no_dataset(monkeypatch, make):
+    """Raw rows are checked once at the edge; no stage wraps its output in a
+    dataset that checks its rows again."""
+    bundle = make()
+    rows = np.random.default_rng(3).random((5, bundle.discretizer.width))
+    built = []
+    for kind in (RealDataset, DiscreteDataset):
+        checks = kind.__post_init__
+
+        def counted(self, checks=checks):
+            built.append(type(self).__name__)
+            checks(self)
+
+        monkeypatch.setattr(kind, "__post_init__", counted)
+    predict_bundle(bundle, rows)
+    predict_bundle(bundle, rows[:1])
+    assert built == []
+
+
+def checked_stack(bundle, x):
+    """Every layer's features and the classifier input for raw rows, through
+    the public, checked calls."""
+    levels = discretize.apply_discretizer(bundle.discretizer, RealDataset(x, np.zeros(len(x), dtype=np.int64)))
+    outputs = convlayer.stack_outputs(bundle.stack, levels)
+    return outputs, convlayer.transform_stack(bundle.stack, levels, mode=bundle.features_mode)
+
+
+@pytest.mark.parametrize("mode", ["last", "concat"])
+@pytest.mark.parametrize("rows", ["one", "edge"])
+@pytest.mark.parametrize("searchsorted", [False, True], ids=["dense", "searchsorted"])
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**16))
+def test_served_walk_matches_the_checked_stack(mode, rows, searchsorted, seed):
+    """`predict_bundle`, `bundle_features` and `layer_maps` bitwise equal to
+    `forward` over `transform_stack` and to `stack_outputs`, at 1 row and past
+    the `GATHER_LIMIT` chunk edge, with one layer over `TABLE_LIMIT`."""
+    gen = np.random.default_rng(seed)
+    y = gen.integers(0, 2, size=80)
+    x = gen.integers(0, 5, size=(80, 36)) / 4 + 0.1 * y[:, np.newaxis]
+    # layer 1's table holds at least 16 windows x 2 cells, layer 2's exactly 4 x 2
+    config = small_config(
+        discretizer="median", layers=(WindowSpec(3, 1), WindowSpec(1, 2)), features_mode=mode
+    )
+    # lookup_table is cached on first read, which the fit makes: patched before it
+    with mock.patch.object(convlayer, "TABLE_LIMIT", 8 if searchsorted else convlayer.TABLE_LIMIT):
+        bundle, _ = fit_pipeline(config, RealDataset(x, y))
+    first, second = bundle.stack.layers
+    assert second.lookup_table is not None
+    assert (first.lookup_table is None) == searchsorted
+    if rows == "one":
+        n = 1
+    else:
+        dense = [layer.lookup_table for layer in bundle.stack.layers if layer.lookup_table is not None]
+        n = max(convlayer.GATHER_LIMIT // lookup[0].size for lookup in dense) + 1
+    fresh = gen.integers(0, 5, size=(n, 36)) / 4
+
+    outputs, joined = checked_stack(bundle, fresh)
+    assert same_bytes(pipeline.bundle_features(bundle, fresh), joined.features)
+    assert same_bytes(predict_bundle(bundle, fresh), forward(bundle, joined.features))
+    for served, checked in zip(layer_maps(bundle, fresh), outputs, strict=True):
+        assert same_bytes(served.reshape(n, -1), checked.features)
+
+
+@pytest.mark.parametrize("make", [flat_bundle, parity_bundle], ids=["flat", "parity"])
+def test_scores_do_not_depend_on_the_row_layout(make):
+    bundle = make()
+    rows = np.random.default_rng(5).random((300, 36))
+    expected = predict_bundle(bundle, rows)
+    for layout in (np.asfortranarray(rows), np.repeat(rows, 2, axis=1)[:, ::2]):
+        assert same_bytes(predict_bundle(bundle, layout), expected)

@@ -242,6 +242,19 @@ def test_fit_refuses_a_negative_p2_sample_and_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_fit_refuses_a_p2_sample_past_int64_and_exits_3(tmp_path, capsys):
+    (tmp_path / "a.pgm").write_bytes(b"P2\n2 2\n255\n0 9 9 9\n")
+    (tmp_path / "b.pgm").write_bytes(b"P2\n2 2\n255\n0 9 9223372036854775808 9\n")
+    (tmp_path / "m.csv").write_text("path,label\na.pgm,0\nb.pgm,1\n")
+    out = tmp_path / "out"
+    assert main(["fit", "--out", str(out), "--set", f"images={tmp_path / 'm.csv'}"]) == 3
+    captured = capsys.readouterr()
+    assert f"{tmp_path / 'b.pgm'}: pixel exceeds declared maxval 255" in captured.err
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, message, code",
     [
