@@ -16,19 +16,20 @@ first stage reads rows.
 Serving reads a dense lookup table built from a layer's flat arrays: window
 w owns the slice [offset_w, offset_w + space_w), space_w being the product
 of its subset's level counts, holding its cell means at their mixed-radix
-cell keys (as `encode_cells` keys them) and its fallback mean everywhere
-else. Rows are coded in fixed-width slot planes: every subset is padded to
-the longest, slot s of each window reads one pixel's level times the slot's
-place value (0 on padding, so padding adds nothing), and a row's value for
-window w is one gather at offset_w plus its slot sum. Codes lie below the
-table size, which `TABLE_LIMIT` holds far under 2**31, so they are int32.
-Larger layers keep a per-window `searchsorted` over their occupied keys.
+cell keys (as `encode_cells` keys them) and its fallback everywhere else.
+Rows are coded in fixed-width slot planes, at most `GATHER_LIMIT` slots a
+chunk: subsets are padded to the longest, slot s of each window reads one
+pixel's level times the slot's place value (0 on padding), and a row's
+value for window w is one gather at offset_w plus its slot sum, in int32,
+as `TABLE_LIMIT` holds tables far under 2**31. Larger layers keep a
+per-window `searchsorted` over their occupied keys.
 
 Stacking layers re-binarizes the engineered features (per-feature median by
 default) before the next layer is fit; the thresholds fitted between layers
 travel with the stack so new data can be pushed through identically.
-Serving runs the same coding kernel as `transform` through one walk over
-the stages, on arrays: its rows are checked once, before the first stage.
+Serving runs `transform`'s kernel in one walk over the layers, on arrays
+checked once before the first. A "last" bundle codes only the windows the
+next layer's coded windows read; "concat" and `layer_maps` code them all.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .core import (
 )
 from .discretize import Discretizer, apply_discretizer, fit_discretizer
 from .errors import DataError
-from .iscore import MAX_SUBSET, _cell_counts, _place_values, encode_cells
+from .iscore import MAX_SUBSET, _cell_counts, _place_values, cell_radix
 from .metrics import grouped_auc, segment_sums
 
 
@@ -380,29 +381,33 @@ def fit_layer(
 
 
 def transform(layer: FittedConvLayer, data: DiscreteDataset) -> RealDataset:
-    """Engineered features for `data`, one column per window position.
-
-    Uses only training-time state (cell means and fallback); cells unseen at
-    fit time map to the fallback mean. Rows are coded in chunks of at most
-    `GATHER_LIMIT` padded slots: one gather of whole pixel rows, a product
-    with the slot place values, an int32 sum over the slots, and one gather
-    from the layer's dense lookup table. A layer over `TABLE_LIMIT` entries
-    looks each window's cell keys up in its sorted occupied keys instead.
-    """
-    if data.width != layer.input_grid.size:
-        raise DataError(
-            f"layer expects {layer.input_grid.size} columns, data has {data.width}"
-        )
-    # also what keeps a dense code inside its own window's slice of the table
-    if (data.level_counts > layer.level_counts).any():
-        raise DataError("data has more levels per column than the layer was fit on")
-    return RealDataset(_engineered(layer, data.features), data.response)
+    """Engineered features for `data`, one column per window position, from
+    training-time state only: cell means, and fallbacks for unseen cells."""
+    return stack_outputs(ConvStack((layer,), ()), data)[0]
 
 
-def _engineered(layer: FittedConvLayer, levels: np.ndarray) -> np.ndarray:
-    """`transform`'s kernel: its features for levels it would accept, unchecked."""
-    cols = np.empty((levels.shape[0], layer.n_windows), dtype=np.float64)
+def _coder(layer: FittedConvLayer, keep: np.ndarray | None, cols: np.ndarray | None):
+    """How `_engineered` codes windows `keep` of `layer` (None: all) from input
+    columns `cols` (ascending; None: all) at their positions there: the dense
+    lookup at those windows (the layer's own if both are None), else per window."""
     lookup = layer.lookup_table
+    if lookup is not None and keep is None and cols is None:
+        return lookup, ()
+    keep = np.arange(layer.n_windows) if keep is None else keep
+    cols = np.arange(layer.input_grid.size) if cols is None else cols
+    if lookup is not None:
+        # a padding slot's pixel 0 lands at position 0; take keeps the arrays in C order
+        pixels, radix, offset, table = lookup
+        at = np.searchsorted(cols, pixels.take(keep, axis=1))
+        return (at, radix.take(keep, axis=1), offset.take(keep, axis=0), table), ()
+    windows = [layer.features[w] for w in keep.tolist()]
+    return None, [(np.searchsorted(cols, f.selected_subset), cell_radix(layer.level_counts, f.selected_subset),
+                   f.cell_keys, f.cell_means, f.fallback_mean) for f in windows]
+
+
+def _engineered(lookup, windows, levels: np.ndarray) -> np.ndarray:
+    """`transform`'s kernel, unchecked: the windows of one `_coder` for `levels`."""
+    cols = np.empty((levels.shape[0], len(windows) if lookup is None else lookup[0].shape[1]), dtype=np.float64)
     if lookup is not None:
         pixels, radix, offset, table = lookup
         step = max(1, GATHER_LIMIT // pixels.size)
@@ -412,10 +417,10 @@ def _engineered(layer: FittedConvLayer, levels: np.ndarray) -> np.ndarray:
             codes += offset
             cols[lo : lo + step] = table.take(codes).T
         return cols
-    for j, f in enumerate(layer.features):
-        keys = encode_cells(levels, f.selected_subset, layer.level_counts)
-        pos = np.minimum(np.searchsorted(f.cell_keys, keys), len(f.cell_keys) - 1)
-        cols[:, j] = np.where(f.cell_keys[pos] == keys, f.cell_means[pos], f.fallback_mean)
+    for j, (at, radix, cell_keys, cell_means, fallback) in enumerate(windows):
+        keys = levels[:, at] @ radix
+        pos = np.minimum(np.searchsorted(cell_keys, keys), len(cell_keys) - 1)
+        cols[:, j] = np.where(cell_keys[pos] == keys, cell_means[pos], fallback)
     return cols
 
 
@@ -473,22 +478,40 @@ def stack_layers(
     return ConvStack(layers=tuple(layers), rediscretizers=tuple(rediscretizers)), outputs
 
 
-def _walk(stages, x: np.ndarray) -> list[np.ndarray]:
-    """Each (discretizer, layer) stage's features for real rows `x`, unchecked:
-    `ConvStack` and `ModelBundle` chain the widths, and `transform`'s level-count
-    check holds by construction, as the levels are binary and every layer
-    refuses a level count below 2."""
-    outputs = [x]
-    for disc, layer in stages:
-        outputs.append(_engineered(layer, (outputs[-1] > disc.thresholds).view(np.uint8)))
-    return outputs[1:]
+def _plan(stack: ConvStack, every_window: bool):
+    """How `_walk` serves `stack`: a `_coder` per layer and the thresholds that
+    re-binarize its coded windows for the next. Unless `every_window`, a layer
+    before the last codes only the windows that the next layer's coded windows
+    read in their subsets: no other window can move the last layer's output."""
+    layers, keeps = stack.layers, [None] * len(stack.layers)
+    for k in [] if every_window else range(len(layers) - 1, 0, -1):
+        read = layers[k].subset_flat
+        if keeps[k] is not None:
+            read = read[np.isin(np.repeat(np.arange(layers[k].n_windows), layers[k].subset_len), keeps[k])]
+        keeps[k - 1] = np.unique(read)
+    coders = [_coder(layer, keep, cols) for layer, keep, cols in zip(layers, keeps, [None, *keeps])]
+    return coders, [d.thresholds if k is None else d.thresholds[k] for d, k in zip(stack.rediscretizers, keeps)]
+
+
+def _walk(plan, levels: np.ndarray) -> list[np.ndarray]:
+    """Each layer's features at the windows `plan` codes (those the next stage
+    reads; every window for "concat" and `layer_maps`), for the first layer's
+    levels, unchecked: later levels are binary, and no layer has under 2."""
+    coders, thresholds = plan
+    outputs = [_engineered(*coders[0], levels)]
+    for coder, between in zip(coders[1:], thresholds):
+        outputs.append(_engineered(*coder, (outputs[-1] > between).view(np.uint8)))
+    return outputs
 
 
 def stack_outputs(stack: ConvStack, data: DiscreteDataset) -> list[RealDataset]:
     """Engineered features of every layer for `data`, in layer order."""
-    first = transform(stack.layers[0], data)
-    rest = _walk(zip(stack.rediscretizers, stack.layers[1:]), first.features)
-    return [first, *(RealDataset(out, data.response) for out in rest)]
+    if data.width != stack.layers[0].input_grid.size:
+        raise DataError(f"layer expects {stack.layers[0].input_grid.size} columns, data has {data.width}")
+    # also what keeps a dense code inside its own window's slice of the table
+    if (data.level_counts > stack.layers[0].level_counts).any():
+        raise DataError("data has more levels per column than the layer was fit on")
+    return [RealDataset(out, data.response) for out in _walk(_plan(stack, every_window=True), data.features)]
 
 
 FEATURE_MODES = ("last", "concat")

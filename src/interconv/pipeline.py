@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .convlayer import FEATURE_MODES, ConvStack, _join_outputs, _walk, stack_layers, transform_stack
+from .convlayer import FEATURE_MODES, ConvStack, _join_outputs, _plan, _walk, stack_layers, transform_stack
 from .core import GridShape, RealDataset, WindowSpec, _matrix, _write_csv, output_grid
 from .dataio import ModelBundle, save_bundle
 from .discretize import apply_discretizer, fit_discretizer, parse_discretizer_spec
@@ -137,16 +137,17 @@ def fit_pipeline(
     return bundle, FitReport(train_result=result)
 
 
-def _served(bundle: ModelBundle, features: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The classifier's input and every layer's engineered features (none
-    without window layers) for raw rows, checked once, here, with the messages
-    the checked forms give: non-empty 2-d, finite, the bundle's width."""
+def _served(bundle: ModelBundle, features: np.ndarray, every_window=False) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The classifier's input and each layer's coded windows (every window, or those of the
+    `_served_plan`; none without window layers) for raw rows, checked once, here, with the
+    messages the checked forms give: non-empty 2-d, finite, the bundle's width."""
     x = _matrix(features, np.float64, finite=True)
     if bundle.stack is None:
         # C order, as a dataset holds rows: a matmul's last bits can follow the layout
         return _as_matrix(np.ascontiguousarray(x), bundle.arch.input_width)[0], []
     bundle.discretizer._check_width(x.shape[1])
-    outputs = _walk(zip((bundle.discretizer, *bundle.stack.rediscretizers), bundle.stack.layers), x)
+    plan = _plan(bundle.stack, every_window=True) if every_window else bundle._served_plan
+    outputs = _walk(plan, (x > bundle.discretizer.thresholds).view(np.uint8))
     return _join_outputs(outputs, bundle.features_mode), outputs
 
 
@@ -166,7 +167,7 @@ def layer_maps(bundle: ModelBundle, features: np.ndarray) -> list[np.ndarray]:
     if bundle.stack is None:
         raise DataError("bundle has no window layers to map")
     grids = [layer.output_grid for layer in bundle.stack.layers]
-    return [out.reshape(-1, g.rows, g.cols) for g, out in zip(grids, _served(bundle, features)[1])]
+    return [out.reshape(-1, g.rows, g.cols) for g, out in zip(grids, _served(bundle, features, every_window=True)[1])]
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Pipeline orchestration: configuration, geometry, presets, and fit/eval."""
 
 import csv
+import dataclasses
 import re
 from pathlib import Path
 from unittest import mock
@@ -456,33 +457,64 @@ def checked_stack(bundle, x):
     return outputs, convlayer.transform_stack(bundle.stack, levels, mode=bundle.features_mode)
 
 
+def read_windows(stack):
+    """Per layer, the 0-based windows the last layer's features read, by sets
+    over `features`: the rule `_served` codes a "last" stack by."""
+    read = [set(range(stack.layers[-1].n_windows))]
+    for layer in reversed(stack.layers[1:]):
+        read.insert(0, {j for f in layer.features if f.window_index - 1 in read[0] for j in f.selected_subset})
+    return read
+
+
+def over_table_limit(layer):
+    """Serve `layer` by its per-window searchsorted, as if over `TABLE_LIMIT`:
+    its cached lookup table is dropped and rebuilt under a limit of 0."""
+    del layer.__dict__["lookup_table"]
+    with mock.patch.object(convlayer, "TABLE_LIMIT", 0):
+        assert layer.lookup_table is None
+
+
+# per case: the window stack over a 6x6 grid, and the layers served by
+# searchsorted. 3x3 windows then 1x1 windows at stride 2: layer 2 reads 4 of
+# layer 1's 16 windows; a third layer reads 4 of layer 2's 16, which read
+# at most 16 of layer 1's 25.
+TWO_LAYERS = (WindowSpec(3, 1), WindowSpec(1, 2))
+THREE_LAYERS = (WindowSpec(2, 1), WindowSpec(2, 1), WindowSpec(1, 2))
+WALK_CASES = {
+    "dense": (TWO_LAYERS, ()),
+    "searchsorted": (TWO_LAYERS, (0,)),
+    "searchsorted-l2": (TWO_LAYERS, (1,)),
+    "searchsorted-l1-l2": (TWO_LAYERS, (0, 1)),
+    "three-layers": (THREE_LAYERS, ()),
+    "three-layers-searchsorted": (THREE_LAYERS, (0, 1, 2)),
+}
+
+
 @pytest.mark.parametrize("mode", ["last", "concat"])
 @pytest.mark.parametrize("rows", ["one", "edge"])
-@pytest.mark.parametrize("searchsorted", [False, True], ids=["dense", "searchsorted"])
+@pytest.mark.parametrize("case", WALK_CASES, ids=list(WALK_CASES))
 @settings(max_examples=3, deadline=None)
 @given(seed=st.integers(0, 2**16))
-def test_served_walk_matches_the_checked_stack(mode, rows, searchsorted, seed):
+def test_served_walk_matches_the_checked_stack(mode, rows, case, seed):
     """`predict_bundle`, `bundle_features` and `layer_maps` bitwise equal to
     `forward` over `transform_stack` and to `stack_outputs`, at 1 row and past
-    the `GATHER_LIMIT` chunk edge, with one layer over `TABLE_LIMIT`."""
+    the `GATHER_LIMIT` chunk edge of the plan served, with layers over
+    `TABLE_LIMIT`; a "last" stack codes only the windows its last layer reads."""
+    specs, over = WALK_CASES[case]
     gen = np.random.default_rng(seed)
     y = gen.integers(0, 2, size=80)
     x = gen.integers(0, 5, size=(80, 36)) / 4 + 0.1 * y[:, np.newaxis]
-    # layer 1's table holds at least 16 windows x 2 cells, layer 2's exactly 4 x 2
-    config = small_config(
-        discretizer="median", layers=(WindowSpec(3, 1), WindowSpec(1, 2)), features_mode=mode
-    )
-    # lookup_table is cached on first read, which the fit makes: patched before it
-    with mock.patch.object(convlayer, "TABLE_LIMIT", 8 if searchsorted else convlayer.TABLE_LIMIT):
-        bundle, _ = fit_pipeline(config, RealDataset(x, y))
-    first, second = bundle.stack.layers
-    assert second.lookup_table is not None
-    assert (first.lookup_table is None) == searchsorted
+    config = small_config(discretizer="median", layers=specs, features_mode=mode)
+    bundle, _ = fit_pipeline(config, RealDataset(x, y))
+    for k in over:
+        over_table_limit(bundle.stack.layers[k])
+    coders, _ = bundle._served_plan
     if rows == "one":
         n = 1
     else:
-        dense = [layer.lookup_table for layer in bundle.stack.layers if layer.lookup_table is not None]
-        n = max(convlayer.GATHER_LIMIT // lookup[0].size for lookup in dense) + 1
+        # with no dense stage there is no chunk edge: a few rows
+        steps = [convlayer.GATHER_LIMIT // lookup[0].size for lookup, _ in coders if lookup is not None]
+        n = max(steps, default=2) + 1
     fresh = gen.integers(0, 5, size=(n, 36)) / 4
 
     outputs, joined = checked_stack(bundle, fresh)
@@ -490,6 +522,44 @@ def test_served_walk_matches_the_checked_stack(mode, rows, searchsorted, seed):
     assert same_bytes(predict_bundle(bundle, fresh), forward(bundle, joined.features))
     for served, checked in zip(layer_maps(bundle, fresh), outputs, strict=True):
         assert same_bytes(served.reshape(n, -1), checked.features)
+    coded = [out.shape[1] for out in pipeline._served(bundle, fresh)[1]]
+    every = [layer.n_windows for layer in bundle.stack.layers]
+    assert coded == (every if mode == "concat" else [len(r) for r in read_windows(bundle.stack)])
+    assert mode == "concat" or all(c < e for c, e in zip(coded[:-1], every))
+
+
+def with_unread_windows_changed(bundle):
+    """`bundle` with other cell means and fallbacks (each moved across 0.5)
+    on every layer-1 window that no layer-2 subset reads."""
+    first, *rest = bundle.stack.layers
+    unread = np.setdiff1d(np.arange(first.n_windows), sorted(read_windows(bundle.stack)[0]))
+    assert 0 < len(unread) < first.n_windows
+    moved = np.isin(np.repeat(np.arange(first.n_windows), first.ncells), unread)
+    means = np.where(moved, (first.cell_means <= 0.5).astype(np.float64), first.cell_means)
+    fallback = first.fallback.copy()
+    fallback[unread] = fallback[unread] <= 0.5
+    layer = dataclasses.replace(first, cell_means=means, fallback=fallback)
+    return dataclasses.replace(bundle, stack=dataclasses.replace(bundle.stack, layers=(layer, *rest)))
+
+
+def test_windows_no_later_layer_reads_move_no_last_score():
+    """The rule a "last" bundle is served by, both ways: layer-1 windows that
+    layer 2 does not read change neither its scores nor its classifier input,
+    yet they do change `layer_maps` and a "concat" bundle's scores."""
+    gen = np.random.default_rng(4)
+    y = gen.integers(0, 2, size=80)
+    x = gen.integers(0, 5, size=(80, 36)) / 4 + 0.1 * y[:, np.newaxis]
+    fresh = gen.integers(0, 5, size=(50, 36)) / 4
+    for mode in ("last", "concat"):
+        config = small_config(discretizer="median", layers=TWO_LAYERS, features_mode=mode)
+        bundle, _ = fit_pipeline(config, RealDataset(x, y))
+        changed = with_unread_windows_changed(bundle)
+        assert same_bytes(predict_bundle(changed, fresh), predict_bundle(bundle, fresh)) == (mode == "last")
+        assert same_bytes(
+            pipeline.bundle_features(changed, fresh), pipeline.bundle_features(bundle, fresh)
+        ) == (mode == "last")
+        before, after = layer_maps(bundle, fresh), layer_maps(changed, fresh)
+        assert not same_bytes(after[0], before[0]) and same_bytes(after[1], before[1])
 
 
 @pytest.mark.parametrize("make", [flat_bundle, parity_bundle], ids=["flat", "parity"])
