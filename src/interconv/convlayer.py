@@ -13,23 +13,24 @@ cells of the subset picked one stage before, by removing one digit of their
 mixed-radix keys and adding the counts of the cells that meet, so only the
 first stage reads rows.
 
-Serving reads a dense lookup table built from a layer's flat arrays: window
-w owns the slice [offset_w, offset_w + space_w), space_w being the product
-of its subset's level counts, holding its cell means at their mixed-radix
-cell keys (as `encode_cells` keys them) and its fallback everywhere else.
-Rows are coded in fixed-width slot planes, at most `GATHER_LIMIT` slots a
-chunk: subsets are padded to the longest, slot s of each window reads one
-pixel's level times the slot's place value (0 on padding), and a row's
-value for window w is one gather at offset_w plus its slot sum, in int32,
-as `TABLE_LIMIT` holds tables far under 2**31. Larger layers keep a
-per-window `searchsorted` over their occupied keys.
+Serving walks a plan over the layers, on arrays checked once before the
+first. A plan names the windows each layer codes (all of them, or for a
+"last" bundle only those the next layer's coded windows read) and builds
+each stage from the layer's flat arrays for exactly those windows: a dense
+lookup table where window w owns the slice [offset_w, offset_w + space_w),
+space_w being the product of its subset's level counts, holding its cell
+means at their mixed-radix keys (as `encode_cells` keys them) and its
+fallback everywhere else. Rows are coded in fixed-width slot planes, at most
+`GATHER_LIMIT` slots a chunk: subsets are padded to the longest, slot s of
+each window reads one pixel's level times the slot's place value (0 on
+padding), and a row's value for window w is one gather at offset_w plus its
+slot sum, in int32, as `TABLE_LIMIT` holds tables far under 2**31. A stage
+whose table would pass that cap keeps a per-window `searchsorted` over the
+occupied keys; the cap is met per plan, and a stack caches both plans.
 
 Stacking layers re-binarizes the engineered features (per-feature median by
 default) before the next layer is fit; the thresholds fitted between layers
 travel with the stack so new data can be pushed through identically.
-Serving runs `transform`'s kernel in one walk over the layers, on arrays
-checked once before the first. A "last" bundle codes only the windows the
-next layer's coded windows read; "concat" and `layer_maps` code them all.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .core import (
 )
 from .discretize import Discretizer, apply_discretizer, fit_discretizer
 from .errors import DataError
-from .iscore import MAX_SUBSET, _cell_counts, _place_values, cell_radix
+from .iscore import MAX_SUBSET, _cell_counts, _place_values
 from .metrics import grouped_auc, segment_sums
 
 
@@ -122,7 +123,7 @@ class FittedConvLayer:
         means = np.concatenate([self.cell_means, self.fallback])
         if not ((means >= 0.0) & (means <= 1.0)).all():
             raise DataError("a cell mean or fallback is not a finite value in [0, 1]")
-        # frozen, so no write can leave the checks or `lookup_table` stale
+        # frozen, so no write can leave the checks or a stack's cached plans stale
         for name in LAYER_ARRAYS:
             object.__setattr__(self, name, _freeze(getattr(self, name)))
 
@@ -150,34 +151,6 @@ class FittedConvLayer:
             )
             for b, (s_n, s_end, c_n, c_end, fallback, iscore, train_auc) in enumerate(per_window, start=1)
         )
-
-    @cached_property
-    def lookup_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
-        """(pixels, radix, window offsets, table) for dense lookup, or None
-        when the table would hold more than `TABLE_LIMIT` entries.
-
-        Subsets are padded to kmax slots: `pixels` (kmax x W) is the pixel
-        each slot reads and `radix` (int32, kmax x W x 1) its place value,
-        both 0 on padding. Window w's code for a row is the sum over its
-        slots of level * radix, plus offset[w] (int32, W x 1), and `table`
-        at that code is the row's engineered value.
-        """
-        # every subset padded to one width with level count 1, which changes no product
-        sizes = np.ones((self.n_windows, int(self.subset_len.max())), dtype=np.int64)
-        held = np.arange(sizes.shape[1]) < self.subset_len[:, np.newaxis]
-        sizes[held] = self.level_counts[self.subset_flat]
-        radix = _place_values(sizes)
-        space = radix[:, -1] * sizes[:, -1]  # at most 2**62, as __post_init__ enforces
-        # capped per window first, so the sum cannot overflow
-        if (space > TABLE_LIMIT).any() or space.sum() > TABLE_LIMIT:
-            return None
-        offset = np.cumsum(space) - space
-        table = np.repeat(self.fallback, space)
-        table[np.repeat(offset, self.ncells) + self.cell_keys] = self.cell_means
-        pixels = np.zeros_like(sizes)
-        pixels[held] = self.subset_flat
-        slot_radix = (radix * held).T.astype(np.int32, order="C")[..., np.newaxis]
-        return np.ascontiguousarray(pixels.T), slot_radix, offset.astype(np.int32)[:, np.newaxis], table
 
 
 # Most entries (8 bytes each) a layer's dense lookup table may hold.
@@ -386,27 +359,40 @@ def transform(layer: FittedConvLayer, data: DiscreteDataset) -> RealDataset:
     return stack_outputs(ConvStack((layer,), ()), data)[0]
 
 
-def _coder(layer: FittedConvLayer, keep: np.ndarray | None, cols: np.ndarray | None):
-    """How `_engineered` codes windows `keep` of `layer` (None: all) from input
-    columns `cols` (ascending; None: all) at their positions there: the dense
-    lookup at those windows (the layer's own if both are None), else per window."""
-    lookup = layer.lookup_table
-    if lookup is not None and keep is None and cols is None:
-        return lookup, ()
-    keep = np.arange(layer.n_windows) if keep is None else keep
-    cols = np.arange(layer.input_grid.size) if cols is None else cols
-    if lookup is not None:
-        # a padding slot's pixel 0 lands at position 0; take keeps the arrays in C order
-        pixels, radix, offset, table = lookup
-        at = np.searchsorted(cols, pixels.take(keep, axis=1))
-        return (at, radix.take(keep, axis=1), offset.take(keep, axis=0), table), ()
-    windows = [layer.features[w] for w in keep.tolist()]
-    return None, [(np.searchsorted(cols, f.selected_subset), cell_radix(layer.level_counts, f.selected_subset),
-                   f.cell_keys, f.cell_means, f.fallback_mean) for f in windows]
+def _coder(layer: FittedConvLayer, keep: np.ndarray, cols: np.ndarray):
+    """The stage that codes windows `keep` of `layer` from input columns `cols`
+    (ascending), from the layer's flat arrays at those windows only. Subsets
+    are padded to kmax slots: `pixels` (kmax x W) is the position in `cols`
+    each slot reads and `radix` (kmax x W x 1) its place value, both 0 on
+    padding; a row's code for window w is its slot sum of level * radix plus
+    offset[w], and `table` there holds its value. A table past `TABLE_LIMIT`
+    gives way to each window's padded pixels and place values, cells and fallback.
+    """
+    (subset,), lengths = _take((layer.subset_flat,), layer.subset_len, keep)
+    (keys, means), ncells = _take((layer.cell_keys, layer.cell_means), layer.ncells, keep)
+    fallback = layer.fallback[keep]
+    # every subset padded to one width with level count 1, which changes no product
+    held = np.arange(lengths.max()) < lengths[:, np.newaxis]
+    sizes = np.ones(held.shape, dtype=np.int64)
+    sizes[held] = layer.level_counts[subset]
+    radix = _place_values(sizes)
+    space = radix[:, -1] * sizes[:, -1]  # at most 2**62, as the layer's checks enforce
+    radix *= held
+    pixels = np.zeros_like(sizes)
+    pixels[held] = np.searchsorted(cols, subset)
+    # capped per window first, so the sum cannot overflow
+    if (space > TABLE_LIMIT).any() or space.sum() > TABLE_LIMIT:
+        ends = np.cumsum(ncells)[:-1]
+        return None, list(zip(pixels, radix, np.split(keys, ends), np.split(means, ends), fallback))
+    offset = np.cumsum(space) - space
+    table = np.repeat(fallback, space)
+    table[np.repeat(offset, ncells) + keys] = means
+    slot_radix = radix.T.astype(np.int32, order="C")[..., np.newaxis]
+    return (np.ascontiguousarray(pixels.T), slot_radix, offset.astype(np.int32)[:, np.newaxis], table), ()
 
 
 def _engineered(lookup, windows, levels: np.ndarray) -> np.ndarray:
-    """`transform`'s kernel, unchecked: the windows of one `_coder` for `levels`."""
+    """The serving kernel, unchecked: one `_coder` stage's windows for `levels`, dense or per window."""
     cols = np.empty((levels.shape[0], len(windows) if lookup is None else lookup[0].shape[1]), dtype=np.float64)
     if lookup is not None:
         pixels, radix, offset, table = lookup
@@ -448,6 +434,15 @@ class ConvStack:
                     f"layer {k - 1}'s output grid {want.rows}x{want.cols}"
                 )
 
+    # how `_walk` serves the stack (see `_plan`): every window, or those read; built on first use, never saved
+    @cached_property
+    def _full_plan(self):
+        return _plan(self, every_window=True)
+
+    @cached_property
+    def _read_plan(self):
+        return _plan(self, every_window=False)
+
 
 def stack_layers(
     data: DiscreteDataset,
@@ -482,20 +477,21 @@ def _plan(stack: ConvStack, every_window: bool):
     """How `_walk` serves `stack`: a `_coder` per layer and the thresholds that
     re-binarize its coded windows for the next. Unless `every_window`, a layer
     before the last codes only the windows that the next layer's coded windows
-    read in their subsets: no other window can move the last layer's output."""
-    layers, keeps = stack.layers, [None] * len(stack.layers)
+    read in their subsets: no other window can move the last layer's output.
+    Each plan builds its own stages, so `TABLE_LIMIT` is met per plan."""
+    layers = stack.layers
+    keeps = [np.arange(layer.n_windows) for layer in layers]
     for k in [] if every_window else range(len(layers) - 1, 0, -1):
-        read = layers[k].subset_flat
-        if keeps[k] is not None:
-            read = read[np.isin(np.repeat(np.arange(layers[k].n_windows), layers[k].subset_len), keeps[k])]
+        (read,), _ = _take((layers[k].subset_flat,), layers[k].subset_len, keeps[k])
         keeps[k - 1] = np.unique(read)
-    coders = [_coder(layer, keep, cols) for layer, keep, cols in zip(layers, keeps, [None, *keeps])]
-    return coders, [d.thresholds if k is None else d.thresholds[k] for d, k in zip(stack.rediscretizers, keeps)]
+    cols = [np.arange(layers[0].input_grid.size), *keeps]  # layer k reads layer k-1's kept windows
+    coders = [_coder(layer, keep, c) for layer, keep, c in zip(layers, keeps, cols)]
+    return coders, [d.thresholds[k] for d, k in zip(stack.rediscretizers, keeps)]
 
 
 def _walk(plan, levels: np.ndarray) -> list[np.ndarray]:
-    """Each layer's features at the windows `plan` codes (those the next stage
-    reads; every window for "concat" and `layer_maps`), for the first layer's
+    """Each layer's features at the windows `plan` codes (a stack's `_read_plan`:
+    those the next stage reads; its `_full_plan`: all), for the first layer's
     levels, unchecked: later levels are binary, and no layer has under 2."""
     coders, thresholds = plan
     outputs = [_engineered(*coders[0], levels)]
@@ -511,7 +507,7 @@ def stack_outputs(stack: ConvStack, data: DiscreteDataset) -> list[RealDataset]:
     # also what keeps a dense code inside its own window's slice of the table
     if (data.level_counts > stack.layers[0].level_counts).any():
         raise DataError("data has more levels per column than the layer was fit on")
-    return [RealDataset(out, data.response) for out in _walk(_plan(stack, every_window=True), data.features)]
+    return [RealDataset(out, data.response) for out in _walk(stack._full_plan, data.features)]
 
 
 FEATURE_MODES = ("last", "concat")

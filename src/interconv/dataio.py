@@ -17,12 +17,11 @@ import math
 import struct
 import zlib
 from dataclasses import dataclass, fields
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .convlayer import FEATURE_MODES, LAYER_ARRAYS, ConvStack, FittedConvLayer, _plan
+from .convlayer import FEATURE_MODES, LAYER_ARRAYS, ConvStack, FittedConvLayer
 from .core import (
     DiscreteDataset, GridShape, RealDataset, WindowSpec, _check_response, _csv_records, _freeze, _read_text,
     _write_csv,
@@ -306,11 +305,6 @@ class ModelBundle:
             if self.discretizer.width != layers[0].input_grid.size:
                 raise DataError(f"the discretizer before layer 0 has {self.discretizer.width} thresholds")
         object.__setattr__(self, "weights", tuple(_freeze(w) for w in self.weights))
-
-    @cached_property
-    def _served_plan(self):
-        """How `predict_bundle` walks the stack (see `convlayer._plan`); built on first use, never saved."""
-        return _plan(self.stack, every_window=self.features_mode == "concat")
 
 
 def _section(name: str, kind: int, payload: bytes) -> bytes:

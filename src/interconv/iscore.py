@@ -57,18 +57,13 @@ def _place_values(sizes: np.ndarray) -> np.ndarray:
     return radix
 
 
-def cell_radix(level_counts: np.ndarray, subset: tuple[int, ...]) -> np.ndarray:
-    """Mixed-radix place values for the columns of `subset`, in subset order."""
-    if len(subset):
-        _cell_counts(level_counts, np.array(subset), np.array([len(subset)]))
-    return _place_values(level_counts[list(subset)].astype(np.int64)[np.newaxis])[0]
-
-
 def encode_cells(
     features: np.ndarray, subset: tuple[int, ...], level_counts: np.ndarray
 ) -> np.ndarray:
     """Cell key of every row under the partition induced by `subset`."""
-    radix = cell_radix(level_counts, subset)
+    if len(subset):
+        _cell_counts(level_counts, np.array(subset), np.array([len(subset)]))
+    radix = _place_values(level_counts[list(subset)].astype(np.int64)[np.newaxis])[0]
     return features[:, list(subset)] @ radix
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .convlayer import FEATURE_MODES, ConvStack, _join_outputs, _plan, _walk, stack_layers, transform_stack
+from .convlayer import FEATURE_MODES, ConvStack, _join_outputs, _walk, stack_layers, transform_stack
 from .core import GridShape, RealDataset, WindowSpec, _matrix, _write_csv, output_grid
 from .dataio import ModelBundle, save_bundle
 from .discretize import apply_discretizer, fit_discretizer, parse_discretizer_spec
@@ -138,15 +138,15 @@ def fit_pipeline(
 
 
 def _served(bundle: ModelBundle, features: np.ndarray, every_window=False) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The classifier's input and each layer's coded windows (every window, or those of the
-    `_served_plan`; none without window layers) for raw rows, checked once, here, with the
-    messages the checked forms give: non-empty 2-d, finite, the bundle's width."""
+    """The classifier's input and each layer's coded windows (every window, or for a "last" bundle
+    those its last layer reads; none without window layers) for raw rows, checked once, here,
+    with the messages the checked forms give: non-empty 2-d, finite, the bundle's width."""
     x = _matrix(features, np.float64, finite=True)
     if bundle.stack is None:
         # C order, as a dataset holds rows: a matmul's last bits can follow the layout
         return _as_matrix(np.ascontiguousarray(x), bundle.arch.input_width)[0], []
     bundle.discretizer._check_width(x.shape[1])
-    plan = _plan(bundle.stack, every_window=True) if every_window else bundle._served_plan
+    plan = bundle.stack._full_plan if every_window or bundle.features_mode == "concat" else bundle.stack._read_plan
     outputs = _walk(plan, (x > bundle.discretizer.thresholds).view(np.uint8))
     return _join_outputs(outputs, bundle.features_mode), outputs
 

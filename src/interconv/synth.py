@@ -45,6 +45,9 @@ class ParityModelSpec:
                 raise ConfigError(f"{name} must be >= {least}, got {value}")
             if value > np.iinfo(np.intp).max:  # no array dimension can be larger
                 raise ConfigError(f"{name} must be at most {np.iinfo(np.intp).max}, got {value}")
+            # a split is drawn as one rows x n_features int64 array, which no array can outgrow
+            if name != "n_features" and value * self.n_features * 8 > np.iinfo(np.intp).max:
+                raise ConfigError(f"{name} must fit one int64 array with n_features, got {value} x {self.n_features}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not self.modules:

@@ -16,19 +16,26 @@ from oracles import naive_influence, reference_lookup, reference_window_feature
 from conftest import binary_dataset
 from interconv import convlayer
 from interconv import (
+    ConvStack,
     DataError,
     DiscreteDataset,
     FittedConvLayer,
     GridShape,
+    PipelineConfig,
+    RealDataset,
+    TrainingHyper,
     WindowSpec,
     enumerate_windows,
     fit_layer,
+    fit_pipeline,
     output_grid,
+    predict_bundle,
     stack_layers,
     stack_outputs,
     transform,
     transform_stack,
 )
+from interconv.pipeline import layer_maps
 
 
 def cell_mean_oracle(train, subset, rows):
@@ -391,12 +398,12 @@ def test_dense_transform_equals_per_window_lookup(
     fresh = gen.integers(0, counts, size=(30, grid.size))
     held = DiscreteDataset(np.concatenate([train.features, fresh]), gen.integers(0, 2, size=n + 30))
     dense = stack_outputs(stack, held)
-    assert all(layer.lookup_table is not None for layer in stack.layers)
+    assert all(lookup is not None for lookup, _ in stack._full_plan[0])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(convlayer, "TABLE_LIMIT", 0)
-        sparse_stack = dataclasses.replace(stack, layers=tuple(dataclasses.replace(lay) for lay in stack.layers))
+        sparse_stack = dataclasses.replace(stack)  # a new stack builds its own plans
         sparse = stack_outputs(sparse_stack, held)
-        assert all(layer.lookup_table is None for layer in sparse_stack.layers)
+        assert all(lookup is None for lookup, _ in sparse_stack._full_plan[0])
     for a, b in zip(dense, sparse):
         assert a.features.tobytes() == b.features.tobytes()
 
@@ -411,18 +418,34 @@ def test_dense_transform_is_the_same_in_any_chunking(monkeypatch):
     assert whole.features.tobytes() == single.features.tobytes()
 
 
-def test_in_cap_layers_never_read_per_window_records(monkeypatch):
+@pytest.mark.parametrize("table_limit", [convlayer.TABLE_LIMIT, 0], ids=["in-cap", "over-cap"])
+def test_no_serving_path_reads_per_window_records(monkeypatch, table_limit):
+    """`transform`, `stack_outputs`, `predict_bundle` and `layer_maps` build
+    their stages from a layer's flat arrays, dense or per window."""
+    x = binary_dataset(60, 36, seed=23)
+    config = PipelineConfig(discretizer="global:0.5", layers=(WindowSpec(3, 1), WindowSpec(1, 2)),
+                            hyper=TrainingHyper(epochs=2))
+    bundle, _ = fit_pipeline(config, RealDataset(x.features.astype(np.float64), x.response))
+    fresh = binary_dataset(40, 36, seed=24)
+
     def per_window(self):
-        raise AssertionError("transform took the per-window lookup")
+        raise AssertionError("serving read the per-window records")
 
     monkeypatch.setattr(convlayer.FittedConvLayer, "features", property(per_window))
-    train = binary_dataset(60, 36, seed=23)
-    layer = fit_layer(train, GridShape(6, 6), WindowSpec(window=3, stride=1))
-    fresh = binary_dataset(40, 36, seed=24)
+    monkeypatch.setattr(convlayer, "TABLE_LIMIT", table_limit)
+    layer = bundle.stack.layers[0]
     assert transform(layer, fresh).features.shape == (40, layer.n_windows)
-    monkeypatch.setattr(convlayer, "TABLE_LIMIT", 0)
-    with pytest.raises(AssertionError, match="per-window lookup"):
-        transform(dataclasses.replace(layer), fresh)
+    assert [o.features.shape[1] for o in stack_outputs(bundle.stack, fresh)] == [16, 4]
+    raw = fresh.features.astype(np.float64)
+    assert predict_bundle(bundle, raw).shape == (40,)
+    assert [m.shape for m in layer_maps(bundle, raw)] == [(40, 4, 4), (40, 2, 2)]
+    plans = (bundle.stack._full_plan, bundle.stack._read_plan)
+    assert all((lookup is None) == (table_limit == 0) for plan in plans for lookup, _ in plan[0])
+
+
+def dense_lookup(layer):
+    """The dense stage `transform` serves `layer` by, None when over `TABLE_LIMIT`."""
+    return ConvStack((layer,), ())._full_plan[0][0][0]
 
 
 def looked_up_by_reference(layer, data):
@@ -451,7 +474,7 @@ def test_a_table_of_exactly_table_limit_entries_serves_its_last_cell(monkeypatch
         iscore=np.array([2.0]),
         auc=np.array([0.75]),
     )
-    assert len(layer.lookup_table[-1]) == convlayer.TABLE_LIMIT == 2**20
+    assert len(dense_lookup(layer)[-1]) == convlayer.TABLE_LIMIT == 2**20
     x = np.ones((4, 25), dtype=np.int64)
     x[1] = 0  # cell 0
     x[2, subset[:-1]] = 0  # only the last subset pixel set: cell 2**19
@@ -461,9 +484,8 @@ def test_a_table_of_exactly_table_limit_entries_serves_its_last_cell(monkeypatch
     assert dense[:, 0].tolist() == [0.875, 0.125, 0.5, 0.25]
     assert dense.tobytes() == looked_up_by_reference(layer, rows).tobytes()
     monkeypatch.setattr(convlayer, "TABLE_LIMIT", 0)
-    sparse = dataclasses.replace(layer)
-    assert sparse.lookup_table is None
-    assert transform(sparse, rows).features.tobytes() == dense.tobytes()
+    assert dense_lookup(layer) is None
+    assert transform(layer, rows).features.tobytes() == dense.tobytes()
 
 
 @pytest.mark.parametrize("gather_limit", [convlayer.GATHER_LIMIT, 1])
@@ -492,7 +514,7 @@ def test_padded_slots_add_nothing_to_a_code(monkeypatch, gather_limit):
         iscore=np.zeros(len(subsets)),
         auc=np.full(len(subsets), 0.5),
     )
-    assert {1, 4} == set(layer.subset_len.tolist()) and layer.lookup_table is not None
+    assert {1, 4} == set(layer.subset_len.tolist()) and dense_lookup(layer) is not None
     rows = DiscreteDataset(gen.integers(0, 3, size=(200, grid.size)), gen.integers(0, 2, size=200), layer.level_counts)
     assert rows.features.dtype == np.int64 and (rows.features[:, 0] > 0).any()
     want = looked_up_by_reference(layer, rows)
@@ -555,10 +577,9 @@ def test_uint8_levels_fit_and_transform_bitwise_like_int64(
         assert dense.features.tobytes() == transform(layer, rows_wide).features.tobytes()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(convlayer, "TABLE_LIMIT", 0)
-            sparse = dataclasses.replace(layer)
-            assert sparse.lookup_table is None
-            assert transform(sparse, rows_narrow).features.tobytes() == dense.features.tobytes()
-            assert transform(sparse, rows_wide).features.tobytes() == dense.features.tobytes()
+            assert dense_lookup(layer) is None
+            assert transform(layer, rows_narrow).features.tobytes() == dense.features.tobytes()
+            assert transform(layer, rows_wide).features.tobytes() == dense.features.tobytes()
 
 
 def test_uint8_levels_fit_bitwise_like_int64_in_any_chunking(monkeypatch):

@@ -16,7 +16,7 @@ from interconv import (
     influence_score,
     partition_stats,
 )
-from interconv.iscore import MAX_SUBSET, cell_radix
+from interconv.iscore import MAX_SUBSET
 
 
 def test_hand_computed_xor_pattern():
@@ -102,11 +102,11 @@ def test_null_mean_below_one():
 
 
 def test_cell_radix_mixed_levels():
+    """A unit row at column j of the subset keys to j's place value."""
     levels = np.array([2, 3, 2, 5], dtype=np.int64)
-    assert cell_radix(levels, (0, 1, 3)).tolist() == [1, 2, 6]
-    assert cell_radix(levels, (3, 1, 0)).tolist() == [1, 5, 15]
-    empty = cell_radix(levels, ())
-    assert (empty.shape, empty.dtype) == ((0,), np.int64)
+    unit = np.eye(4, dtype=np.int64)
+    assert encode_cells(unit[[0, 1, 3]], (0, 1, 3), levels).tolist() == [1, 2, 6]
+    assert encode_cells(unit[[3, 1, 0]], (3, 1, 0), levels).tolist() == [1, 5, 15]
 
 
 def test_encode_decode_round_trip(rng):
@@ -150,4 +150,4 @@ def test_radix_overflow_guard():
     # 2^63 cells cannot be keyed in int64
     levels = np.full(63, 2, dtype=np.int64)
     with pytest.raises(DataError, match=re.escape("overflows 64-bit cell keys: more than 2**62 cells")):
-        cell_radix(levels, tuple(range(63)))
+        encode_cells(np.zeros((1, 63), dtype=np.int64), tuple(range(63)), levels)

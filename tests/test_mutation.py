@@ -1,11 +1,18 @@
-"""Seeded mutation test of the bundle edge: every mutated bundle either
-serves finite scores in [0, 1] or is refused with an `InterconvError`.
+"""Seeded mutation tests of the input edges.
 
-Each case rewrites one thing in a saved bundle and recomputes the CRC-32 of
-the section it touched, so the mutation reaches the checks behind the
-checksum: a manifest value, an array's dims (with a payload that matches
-them), one array value, or one subset index. Cases are drawn by a seeded
-`random.Random`, so a run is reproducible.
+Bundles: every mutated bundle either serves finite scores in [0, 1] or is
+refused with an `InterconvError`. Each case rewrites one thing in a saved
+bundle and recomputes the CRC-32 of the section it touched, so the mutation
+reaches the checks behind the checksum: a manifest value, an array's dims
+(with a payload that matches them), one array value, or one subset index.
+
+Text inputs: mutated PGM images and dataset CSVs either load or are refused
+with an `InterconvError`, through the readers and through `interconv
+predict --data`, which exits 2 or 3 with no traceback and no output
+directory. Each case flips, inserts or cuts bytes, or rewrites one header
+token, sample, value or line.
+
+Cases are drawn by a seeded `random.Random`, so a run is reproducible.
 """
 
 import random
@@ -16,6 +23,7 @@ import pytest
 from oracles import _rewrite_sections
 
 from interconv import (
+    DataError,
     GridShape,
     InterconvError,
     PipelineConfig,
@@ -28,6 +36,9 @@ from interconv import (
     preset_config,
     save_bundle,
 )
+from interconv.cli import main
+from interconv.dataio import load_images, read_dataset_csv
+from interconv.pgm import read_pgm
 from interconv.pipeline import layer_maps
 
 CASES = 600
@@ -152,3 +163,149 @@ def test_mutated_bundles_serve_or_are_refused(tmp_path, make):
         for out in outputs:
             assert np.isfinite(out).all() and ((out >= 0.0) & (out <= 1.0)).all(), what
     assert served and refused
+
+
+TEXT_CASES = 1000
+CLI_CASES = 50
+# header and sample tokens: zero and past-8-bit maxvals, past int64, signs, non-numbers
+TOKENS = [b"0", b"-1", b"1", b"255", b"256", str(2**63).encode(), str(2**64).encode(), b"P5", b"P2", b"P6",
+          b"x", b"1e3", b"+3", b"\xff"]
+CELLS = [b"nan", b"inf", b"-inf", b"1e400", b"-1e400", b"", b"x", b"0.5", b"2", b"-1", str(2**64).encode(), b"1_0"]
+
+
+def pgm_seeds():
+    """A 3x4 image as P5 and as P2, the second with a comment and ragged lines."""
+    pixels = np.random.default_rng(3).integers(0, 256, size=(3, 4))
+    p5 = b"P5\n4 3\n255\n" + pixels.astype(np.uint8).tobytes()
+    rows = [" ".join(map(str, row)) for row in pixels.tolist()]
+    p2 = ("P2\n# comment\n4 3\n255\n" + rows[0] + "\n" + rows[1] + " " + rows[2] + "\n").encode()
+    return [p5, p2]
+
+
+PGM_SEEDS = pgm_seeds()
+
+
+def csv_seed(width=3, n=4):
+    gen = np.random.default_rng(4)
+    header = ",".join([f"X{j + 1}" for j in range(width)] + ["Y"])
+    rows = [",".join(f"{v:.3f}" for v in gen.random(width)) + f",{k % 2}" for k in range(n)]
+    return ("\n".join([header, *rows]) + "\n").encode()
+
+
+def bytes_mutation(rng, data):
+    """Flip, insert or cut bytes, or add a BOM, non-UTF-8 bytes or blank lines."""
+    at = rng.randrange(len(data) + 1)
+    what = rng.choice(["flip", "insert", "cut", "bom", "latin1", "blank"])
+    if what == "flip" and at < len(data):
+        return data[:at] + bytes([rng.randrange(256)]) + data[at + 1 :]
+    if what == "insert":
+        return data[:at] + bytes(rng.randrange(256) for _ in range(rng.randint(1, 3))) + data[at:]
+    if what == "cut":
+        return data[:at] + data[at + rng.randint(1, 8) :]
+    if what == "bom":
+        return b"\xef\xbb\xbf" + data
+    if what == "latin1":
+        return data[:at] + "é".encode("latin-1") + data[at:]
+    return data[:at] + b"\n\n" + data[at:]
+
+
+def token_mutation(rng, data):
+    """One whitespace-separated token replaced: in a PGM, the magic, width,
+    height, maxval (0, 256, 2**63, ...) or a sample (past maxval or int64)."""
+    tokens = data.split(b"\n")
+    line = rng.randrange(len(tokens))
+    words = tokens[line].split(b" ")
+    words[rng.randrange(len(words))] = rng.choice(TOKENS)
+    tokens[line] = b" ".join(words)
+    return b"\n".join(tokens)
+
+
+def csv_mutation(rng, data):
+    """One cell rewritten (nan, inf, 1e400, a Y outside {0, 1}, ...), or a row made ragged."""
+    lines = data.split(b"\n")
+    line = rng.randrange(len(lines))
+    cells = lines[line].split(b",")
+    what = rng.choice(["cell", "y", "short", "long"])
+    if what == "short":
+        cells.pop(rng.randrange(len(cells)))
+    elif what == "long":
+        cells.insert(rng.randrange(len(cells) + 1), b"0.5")
+    else:
+        cells[-1 if what == "y" else rng.randrange(len(cells))] = rng.choice(CELLS)
+    lines[line] = b",".join(cells)
+    return b"\n".join(lines)
+
+
+def mutated_pgm(rng):
+    data = rng.choice(PGM_SEEDS)
+    for _ in range(rng.randint(1, 2)):
+        data = rng.choice([bytes_mutation, token_mutation])(rng, data)
+    return data
+
+
+def mutated_csv(rng, seed):
+    data = seed
+    for _ in range(rng.randint(1, 2)):
+        data = rng.choice([bytes_mutation, csv_mutation])(rng, data)
+    return data
+
+
+def loads_or_is_refused(read, path):
+    """Whether `read(path)` loaded; any refusal must be an `InterconvError`."""
+    try:
+        read(path)
+    except InterconvError:
+        return False
+    return True
+
+
+def test_mutated_pgm_images_load_or_are_refused(tmp_path):
+    rng = random.Random("pgm")
+    image, manifest = tmp_path / "image.pgm", tmp_path / "manifest.csv"
+    manifest.write_text("path,label\nimage.pgm,1\n")
+    loaded = 0
+    for k in range(TEXT_CASES):
+        image.write_bytes(mutated_pgm(rng))
+        loaded += loads_or_is_refused(read_pgm, image)
+        if k % 10 == 0:
+            loads_or_is_refused(load_images, manifest)
+    assert 0 < loaded < TEXT_CASES
+
+
+def test_mutated_dataset_csvs_load_or_are_refused(tmp_path):
+    rng = random.Random("csv")
+    path, seed = tmp_path / "data.csv", csv_seed()
+    loaded = 0
+    for _ in range(TEXT_CASES):
+        path.write_bytes(mutated_csv(rng, seed))
+        loaded += loads_or_is_refused(read_dataset_csv, path)
+    assert 0 < loaded < TEXT_CASES
+
+
+def test_mutated_predict_data_serves_or_exits_2_or_3(tmp_path, capsys):
+    """`predict --data` on a 2x2-window bundle over 2x2 images, with mutated
+    dataset CSVs and mutated images behind a one-image manifest."""
+    gen = np.random.default_rng(5)
+    y = gen.integers(0, 2, size=40)
+    config = PipelineConfig(discretizer="global:0.5", layers=(WindowSpec(2, 1),), hyper=TrainingHyper(epochs=1))
+    bundle = tmp_path / "model.bundle"
+    save_bundle(fit_pipeline(config, RealDataset(gen.random((40, 4)), y))[0], bundle)
+    rng = random.Random("predict")
+    csv_path, image, manifest = tmp_path / "data.csv", tmp_path / "image.pgm", tmp_path / "manifest.csv"
+    manifest.write_text("path,label\nimage.pgm,0\n")
+    pgm = b"P2\n2 2\n255\n0 64 128 255\n"
+    served = 0
+    for k in range(2 * CLI_CASES):
+        if k % 2:
+            image.write_bytes(rng.choice([bytes_mutation, token_mutation])(rng, pgm))
+            data = manifest
+        else:
+            csv_path.write_bytes(mutated_csv(rng, csv_seed(width=4)))
+            data = csv_path
+        out = tmp_path / f"out{k}"
+        code = main(["predict", "--bundle", str(bundle), "--data", str(data), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3) and "Traceback" not in err
+        assert out.exists() == (code == 0), err
+        served += code == 0
+    assert 0 < served < 2 * CLI_CASES

@@ -466,12 +466,23 @@ def read_windows(stack):
     return read
 
 
-def over_table_limit(layer):
-    """Serve `layer` by its per-window searchsorted, as if over `TABLE_LIMIT`:
-    its cached lookup table is dropped and rebuilt under a limit of 0."""
-    del layer.__dict__["lookup_table"]
-    with mock.patch.object(convlayer, "TABLE_LIMIT", 0):
-        assert layer.lookup_table is None
+def build_plans(stack, over=()):
+    """Build both of `stack`'s cached plans, serving layers `over` (0-based)
+    by their per-window searchsorted, as if over `TABLE_LIMIT`: those layers'
+    `_coder` calls run under a limit of 0."""
+    coder = convlayer._coder
+
+    def limited(layer, keep, cols):
+        limit = 0 if any(layer is stack.layers[k] for k in over) else convlayer.TABLE_LIMIT
+        with mock.patch.object(convlayer, "TABLE_LIMIT", limit):
+            return coder(layer, keep, cols)
+
+    assert not {"_full_plan", "_read_plan"} & set(vars(stack))
+    with mock.patch.object(convlayer, "_coder", limited):
+        plans = stack._full_plan, stack._read_plan
+    for coders, _ in plans:
+        assert [lookup is None for lookup, _ in coders] == [k in over for k in range(len(stack.layers))]
+    return plans
 
 
 # per case: the window stack over a 6x6 grid, and the layers served by
@@ -506,9 +517,8 @@ def test_served_walk_matches_the_checked_stack(mode, rows, case, seed):
     x = gen.integers(0, 5, size=(80, 36)) / 4 + 0.1 * y[:, np.newaxis]
     config = small_config(discretizer="median", layers=specs, features_mode=mode)
     bundle, _ = fit_pipeline(config, RealDataset(x, y))
-    for k in over:
-        over_table_limit(bundle.stack.layers[k])
-    coders, _ = bundle._served_plan
+    every_window_plan, read_plan = build_plans(bundle.stack, over)
+    coders, _ = read_plan if mode == "last" else every_window_plan
     if rows == "one":
         n = 1
     else:
@@ -560,6 +570,31 @@ def test_windows_no_later_layer_reads_move_no_last_score():
         ) == (mode == "last")
         before, after = layer_maps(bundle, fresh), layer_maps(changed, fresh)
         assert not same_bytes(after[0], before[0]) and same_bytes(after[1], before[1])
+
+
+def test_the_table_cap_is_met_per_plan():
+    """Under a `TABLE_LIMIT` between the layer-1 table of a "last" stack's
+    read plan and that of its every-window plan, the served walk codes layer
+    1 by its dense table and `stack_outputs` by per-window searches, and they
+    still agree bitwise."""
+    gen = np.random.default_rng(6)
+    y = gen.integers(0, 2, size=80)
+    x = gen.integers(0, 5, size=(80, 36)) / 4 + 0.1 * y[:, np.newaxis]
+    fresh = gen.integers(0, 5, size=(30, 36)) / 4
+    bundle, _ = fit_pipeline(small_config(discretizer="median", layers=TWO_LAYERS), RealDataset(x, y))
+    every_window_plan, read_plan = build_plans(dataclasses.replace(bundle.stack))
+    read, every = (len(plan[0][0][0][-1]) for plan in (read_plan, every_window_plan))
+    assert read < every
+    bundle = dataclasses.replace(bundle, stack=dataclasses.replace(bundle.stack))  # no plan built yet
+    with mock.patch.object(convlayer, "TABLE_LIMIT", read):
+        (every_l1, _), _ = bundle.stack._full_plan[0]
+        (read_l1, _), _ = bundle.stack._read_plan[0]
+    assert every_l1 is None and read_l1 is not None
+    outputs, joined = checked_stack(bundle, fresh)
+    assert same_bytes(pipeline.bundle_features(bundle, fresh), joined.features)
+    assert same_bytes(predict_bundle(bundle, fresh), forward(bundle, joined.features))
+    for served, checked in zip(layer_maps(bundle, fresh), outputs, strict=True):
+        assert same_bytes(served.reshape(len(fresh), -1), checked.features)
 
 
 @pytest.mark.parametrize("make", [flat_bundle, parity_bundle], ids=["flat", "parity"])

@@ -188,6 +188,11 @@ CLI = {
     "synth size": (["synth", "--set", "synth_train=-5"], "synth_train: n_train must be >= 1, got -5"),
     "synth features": (["synth", "--set", "synth_features=0"], "synth_features: n_features must be >= 1, got 0"),
     "synth test size": (["synth", "--set", "synth_test=-1"], "synth_test: n_test must be >= 0, got -1"),
+    # each size is a valid array dimension, but 500 rows of 2**62 int64 values are no array
+    "synth split past one array": (
+        ["synth", "--set", "synth_features=4611686018427387904"],
+        "synth_train: n_train must fit one int64 array with n_features, got 500 x 4611686018427387904",
+    ),
 }
 
 

@@ -131,3 +131,12 @@ def test_parity_spec_names_the_size_it_refuses(size, value):
     least = 0 if size == "n_test" else 1
     with pytest.raises(ConfigError, match=re.escape(f"{size} must be >= {least}, got {value}")):
         ParityModelSpec(**{size: value})
+
+
+def test_parity_spec_refuses_a_split_no_array_can_hold():
+    """n x n_features int64 values past the largest array, at the exact edge."""
+    most, one = np.iinfo(np.intp).max // 8, (((0,), 1.0),)
+    ParityModelSpec(n_features=1, n_train=most, n_test=most, modules=one)  # only checked, never drawn
+    message = f"n_test must fit one int64 array with n_features, got {most + 1} x 1"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        ParityModelSpec(n_features=1, n_test=most + 1, modules=one)
