@@ -13,10 +13,10 @@ cells of the subset picked one stage before, by removing one digit of their
 mixed-radix keys and adding the counts of the cells that meet, so only the
 first stage reads rows.
 
-Serving walks a plan over the layers, on arrays checked once before the
-first. A plan names the windows each layer codes (all of them, or for a
-"last" bundle only those the next layer's coded windows read) and builds
-each stage from the layer's flat arrays for exactly those windows: a dense
+Serving walks a plan of stages, on arrays checked once before the first.
+A plan names the windows each layer codes (all of them, or for a "last"
+bundle only those the next layer's coded windows read) and builds each
+layer's stage from its flat arrays for exactly those windows: a dense
 lookup table where window w owns the slice [offset_w, offset_w + space_w),
 space_w being the product of its subset's level counts, holding its cell
 means at their mixed-radix keys (as `encode_cells` keys them) and its
@@ -26,7 +26,9 @@ each window reads one pixel's level times the slot's place value (0 on
 padding), and a row's value for window w is one gather at offset_w plus its
 slot sum, in int32, as `TABLE_LIMIT` holds tables far under 2**31. A stage
 whose table would pass that cap keeps a per-window `searchsorted` over the
-occupied keys; the cap is met per plan, and a stack caches both plans.
+occupied keys; the cap is met per plan, and a stack caches both plans. A
+"last" plan merges consecutive dense stages into one while its tables fit
+the cap (`_merge`), so a row can reach the last layer in one gather.
 
 Stacking layers re-binarizes the engineered features (per-feature median by
 default) before the next layer is fit; the thresholds fitted between layers
@@ -359,6 +361,22 @@ def transform(layer: FittedConvLayer, data: DiscreteDataset) -> RealDataset:
     return stack_outputs(ConvStack((layer,), ()), data)[0]
 
 
+def _padded(lengths: np.ndarray, pixels: np.ndarray, sizes: np.ndarray):
+    """Subsets laid end to end in `pixels`, of level counts `sizes`, padded: each slot's pixel and
+    level count (0 and 1 on padding), and each window's space as a float64, exact far past `TABLE_LIMIT`."""
+    held = np.arange(lengths.max()) < lengths[:, np.newaxis]
+    at, levels = np.zeros(held.shape, dtype=np.int64), np.ones(held.shape, dtype=np.int64)
+    at[held], levels[held] = pixels, sizes
+    with np.errstate(over="ignore"):  # inf past 2**1024, which the cap refuses alike
+        return at, levels, levels.prod(axis=1, dtype=np.float64)
+
+
+def _planes(pixels: np.ndarray, radix: np.ndarray, space: np.ndarray):
+    """A dense stage's pixels and int32 place values slot-major, and its int32 window offsets."""
+    offset = (np.cumsum(space) - space).astype(np.int32)[:, np.newaxis]
+    return np.ascontiguousarray(pixels.T), radix.T.astype(np.int32, order="C")[..., np.newaxis], offset
+
+
 def _coder(layer: FittedConvLayer, keep: np.ndarray, cols: np.ndarray):
     """The stage that codes windows `keep` of `layer` from input columns `cols`
     (ascending), from the layer's flat arrays at those windows only. Subsets
@@ -371,24 +389,61 @@ def _coder(layer: FittedConvLayer, keep: np.ndarray, cols: np.ndarray):
     (subset,), lengths = _take((layer.subset_flat,), layer.subset_len, keep)
     (keys, means), ncells = _take((layer.cell_keys, layer.cell_means), layer.ncells, keep)
     fallback = layer.fallback[keep]
-    # every subset padded to one width with level count 1, which changes no product
-    held = np.arange(lengths.max()) < lengths[:, np.newaxis]
-    sizes = np.ones(held.shape, dtype=np.int64)
-    sizes[held] = layer.level_counts[subset]
-    radix = _place_values(sizes)
-    space = radix[:, -1] * sizes[:, -1]  # at most 2**62, as the layer's checks enforce
-    radix *= held
-    pixels = np.zeros_like(sizes)
-    pixels[held] = np.searchsorted(cols, subset)
-    # capped per window first, so the sum cannot overflow
-    if (space > TABLE_LIMIT).any() or space.sum() > TABLE_LIMIT:
+    at = np.zeros(layer.input_grid.size, dtype=np.int64)
+    at[cols] = np.arange(len(cols))
+    pixels, levels, space = _padded(lengths, at[subset], layer.level_counts[subset])
+    radix = _place_values(levels) * (levels > 1)  # a level count is 1 only on padding
+    if space.sum() > TABLE_LIMIT:
         ends = np.cumsum(ncells)[:-1]
         return None, list(zip(pixels, radix, np.split(keys, ends), np.split(means, ends), fallback))
-    offset = np.cumsum(space) - space
+    space = space.astype(np.int64)
+    pixels, radix, offset = _planes(pixels, radix, space)
     table = np.repeat(fallback, space)
-    table[np.repeat(offset, ncells) + keys] = means
-    slot_radix = radix.T.astype(np.int32, order="C")[..., np.newaxis]
-    return (np.ascontiguousarray(pixels.T), slot_radix, offset.astype(np.int32)[:, np.newaxis], table), ()
+    table[np.repeat(offset[:, 0], ncells) + keys] = means
+    return (pixels, radix, offset, table), ()
+
+
+def _merge(first, between: np.ndarray, second, sizes: np.ndarray):
+    """One dense stage in place of dense stages `first`, re-binarized by
+    `between`, and `second`; None past `TABLE_LIMIT`. Window j reads the union
+    of `first`'s input positions (of level counts `sizes`) that the windows in
+    its live slots read; its table holds, per level combination of them, the
+    staged walk's value. Chunks of windows hold at most `GATHER_LIMIT` codes, or one window."""
+    pixels0, radix0, offset0, table0 = first
+    pixels1, radix1, offset1, table1 = second
+    k1, n_windows = pixels1.shape
+    # read (s0, s1, j): slot s0 of the window in slot s1 of window j, where both slots are live
+    place = radix0[:, pixels1, 0]
+    live = (place != 0) & (radix1[:, :, 0] != 0)
+    reads = pixels0[:, pixels1] + np.arange(n_windows) * len(sizes)
+    pairs, inverse = np.unique(reads[live], return_inverse=True)
+    window, column = np.divmod(pairs, len(sizes))
+    lengths = np.bincount(window, minlength=n_windows)
+    pixels, levels, space = _padded(lengths, column, sizes[column])
+    if space.sum() > TABLE_LIMIT:
+        return None
+    # weight[c, j, s1]: the place value that slot s1's window gives column c of window j
+    weight = np.zeros((levels.shape[1], n_windows, k1), dtype=np.int32)
+    slot1 = np.broadcast_to(np.arange(k1)[:, np.newaxis], live.shape)[live]
+    weight[inverse - (np.cumsum(lengths) - lengths)[window[inverse]], window[inverse], slot1] = place[live]
+    above = (table0 > np.repeat(between, np.diff(offset0[:, 0], append=len(table0)))).view(np.uint8)
+    pixels, radix, offset = _planes(pixels, _place_values(levels) * (levels > 1), space)
+    ends, table, lo = np.cumsum(space), [], 0
+    while lo < n_windows:
+        hi = max(lo + 1, int(np.searchsorted(ends, offset[lo, 0] + GATHER_LIMIT // k1, side="right")))
+        # top down: a block of entries sharing their higher digits splits into one per level of the next
+        codes, blocks = offset0[pixels1[:, lo:hi].T, 0], np.ones(hi - lo, dtype=np.int64)
+        for c in range(levels.shape[1] - 1, -1, -1):
+            count = np.repeat(levels[lo:hi, c], blocks)
+            blocks *= levels[lo:hi, c]
+            codes = np.repeat(codes, count, axis=0)
+            step = np.repeat(weight[c, lo:hi], blocks, axis=0)
+            step *= (np.arange(len(codes)) - np.repeat(np.cumsum(count) - count, count)).astype(np.int32)[:, np.newaxis]
+            codes += step
+        codes = np.einsum("es,es->e", above.take(codes), np.repeat(radix1[:, lo:hi, 0].T, blocks, axis=0))
+        table.append(table1.take(codes + np.repeat(offset1[lo:hi, 0], blocks)))
+        lo = hi
+    return pixels, radix, offset, np.concatenate(table)
 
 
 def _engineered(lookup, windows, levels: np.ndarray) -> np.ndarray:
@@ -474,25 +529,37 @@ def stack_layers(
 
 
 def _plan(stack: ConvStack, every_window: bool):
-    """How `_walk` serves `stack`: a `_coder` per layer and the thresholds that
-    re-binarize its coded windows for the next. Unless `every_window`, a layer
+    """How `_walk` serves `stack`: its stages, a `_coder` per layer built for the
+    windows it codes (so `TABLE_LIMIT` is met per plan), and the thresholds that
+    re-binarize each stage's windows for the next. Unless `every_window`, a layer
     before the last codes only the windows that the next layer's coded windows
-    read in their subsets: no other window can move the last layer's output.
-    Each plan builds its own stages, so `TABLE_LIMIT` is met per plan."""
+    read in their subsets (no other window can move the last layer's output),
+    and consecutive dense stages fold left to right into one while it fits."""
     layers = stack.layers
     keeps = [np.arange(layer.n_windows) for layer in layers]
     for k in [] if every_window else range(len(layers) - 1, 0, -1):
         (read,), _ = _take((layers[k].subset_flat,), layers[k].subset_len, keeps[k])
         keeps[k - 1] = np.unique(read)
     cols = [np.arange(layers[0].input_grid.size), *keeps]  # layer k reads layer k-1's kept windows
-    coders = [_coder(layer, keep, c) for layer, keep, c in zip(layers, keeps, cols)]
-    return coders, [d.thresholds[k] for d, k in zip(stack.rediscretizers, keeps)]
+    stages = [_coder(layer, keep, c) for layer, keep, c in zip(layers, keeps, cols)]
+    served, between, start = stages[:1], [], 0  # start: the layer whose input the last stage reads
+    for k, (disc, keep) in enumerate(zip(stack.rediscretizers, keeps), start=1):
+        (first, _), (second, _), thresholds = served[-1], stages[k], disc.thresholds[keep]
+        dense = not every_window and first is not None and second is not None
+        merged = _merge(first, thresholds, second, layers[start].level_counts[cols[start]]) if dense else None
+        if merged is None:
+            served.append(stages[k])
+            between.append(thresholds)
+            start = k
+        else:
+            served[-1] = merged, ()
+    return served, between
 
 
 def _walk(plan, levels: np.ndarray) -> list[np.ndarray]:
-    """Each layer's features at the windows `plan` codes (a stack's `_read_plan`:
-    those the next stage reads; its `_full_plan`: all), for the first layer's
-    levels, unchecked: later levels are binary, and no layer has under 2."""
+    """Each stage's features at the windows `plan` codes (a stack's `_read_plan`:
+    those the next stage reads; its `_full_plan`: all, a stage per layer), for
+    the first stage's levels, unchecked: later levels are binary, and no layer has under 2."""
     coders, thresholds = plan
     outputs = [_engineered(*coders[0], levels)]
     for coder, between in zip(coders[1:], thresholds):

@@ -81,8 +81,9 @@ def window_pixels(grid: GridShape, spec: WindowSpec) -> np.ndarray:
     in the order `enumerate_windows` lists them."""
     out = output_grid(grid, spec)
     first = spec.start - 1  # 0-based corner of the first window
-    corner_rows = first + spec.stride * np.arange(out.rows, dtype=np.int64)
-    corner_cols = first + spec.stride * np.arange(out.cols, dtype=np.int64)
+    # a stride multiplies only where an axis has two windows, and then lies below its length
+    corner_rows = first + min(spec.stride, grid.rows) * np.arange(out.rows, dtype=np.int64)
+    corner_cols = first + min(spec.stride, grid.cols) * np.arange(out.cols, dtype=np.int64)
     corners = corner_rows[:, np.newaxis] * grid.cols + corner_cols
     offsets = np.arange(spec.window)[:, np.newaxis] * grid.cols + np.arange(spec.window)
     return corners.reshape(-1, 1) + offsets.reshape(1, -1)

@@ -44,6 +44,8 @@ class MlpArchitecture:
             raise ConfigError(f"hidden width must be >= 1 or None, got {self.hidden}")
         if self.output_units not in (1, 2):
             raise ConfigError(f"output_units must be 1 or 2, got {self.output_units}")
+        if max(rows * cols for rows, cols in self.layer_shapes()) * 8 > np.iinfo(np.intp).max:
+            raise ConfigError(f"weight matrices of shapes {self.layer_shapes()} cannot each be one float64 array")
 
     def layer_shapes(self) -> list[tuple[int, int]]:
         if self.hidden is None:

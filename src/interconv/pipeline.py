@@ -138,9 +138,9 @@ def fit_pipeline(
 
 
 def _served(bundle: ModelBundle, features: np.ndarray, every_window=False) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The classifier's input and each layer's coded windows (every window, or for a "last" bundle
-    those its last layer reads; none without window layers) for raw rows, checked once, here,
-    with the messages the checked forms give: non-empty 2-d, finite, the bundle's width."""
+    """The classifier's input and each stage's coded windows (every window of each layer, or for a
+    "last" bundle the stages of its read plan; none without window layers) for raw rows, checked
+    once, here, with the messages the checked forms give: non-empty 2-d, finite, the bundle's width."""
     x = _matrix(features, np.float64, finite=True)
     if bundle.stack is None:
         # C order, as a dataset holds rows: a matmul's last bits can follow the layout

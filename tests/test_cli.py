@@ -545,6 +545,22 @@ def test_diverging_fit_exits_4(tmp_path, synth_dir, capsys):
     assert (out / "resolved.cfg").exists()  # written before training starts
 
 
+def test_a_stride_past_int64_fits_one_window(tmp_path, synth_dir, capsys):
+    """A stride past the axis is a valid spec with one window per axis, also
+    past int64, where building the window corners used to overflow."""
+    code, stdout, _ = run(
+        capsys,
+        "fit",
+        "--out", str(tmp_path / "o"),
+        "--set", f"train={synth_dir / 'train.csv'}",
+        "--set", "layers=2:9223372036854775808",
+        "--set", "discretizer=global:0.5",
+        "--set", "epochs=1",
+    )
+    assert code == 0
+    assert "geometry: 6x6 -> 1x1" in stdout
+
+
 def test_bad_geometry_exits_2_without_outputs(tmp_path, synth_dir, capsys):
     out = tmp_path / "geo"
     code, _, err = run(

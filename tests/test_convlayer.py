@@ -399,6 +399,8 @@ def test_dense_transform_equals_per_window_lookup(
     held = DiscreteDataset(np.concatenate([train.features, fresh]), gen.integers(0, 2, size=n + 30))
     dense = stack_outputs(stack, held)
     assert all(lookup is not None for lookup, _ in stack._full_plan[0])
+    # the read plan, its layers merged where the merged tables fit, serves the last layer alike
+    assert convlayer._walk(stack._read_plan, held.features)[-1].tobytes() == dense[-1].features.tobytes()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(convlayer, "TABLE_LIMIT", 0)
         sparse_stack = dataclasses.replace(stack)  # a new stack builds its own plans
@@ -609,3 +611,60 @@ def test_uint8_levels_stack_bitwise_like_int64(rediscretize):
         assert a.features.tobytes() == b.features.tobytes()
     for a, b in zip(stack_outputs(stack_w, narrow), out_w, strict=True):
         assert a.features.tobytes() == b.features.tobytes()
+
+
+MERGE_CASES = ["tie", "unseen", "three-level", "refused", "one-window-chunks"]
+
+
+@pytest.mark.parametrize("case", MERGE_CASES)
+def test_merged_stage_is_the_staged_walk(monkeypatch, case):
+    """A "last" stack's read plan folds layer 1 and layer 2 (2x2 windows, the
+    second reading up to four of the first) into one dense stage, whose values
+    are bitwise the staged walk's: with a layer-1 value equal to its
+    re-binarizer threshold (a tie gives bit 0), with cells unseen at both
+    layers (their fallbacks), with 3-level input columns, built one window
+    per chunk, and with the merge refused by `TABLE_LIMIT` while both staged
+    tables fit under it. The merged table holds one entry per level
+    combination of each window's receptive field, and no more."""
+    gen = np.random.default_rng(MERGE_CASES.index(case))
+    counts = np.full(36, 2)
+    if case == "three-level":
+        counts[[0, 7, 14, 21]] = 3
+    n = 8 if case == "unseen" else 60
+    train = DiscreteDataset(gen.integers(0, counts, size=(n, 36)), gen.integers(0, 2, size=n), counts)
+    stack, _ = stack_layers(train, GridShape(6, 6), [WindowSpec(2, 1), WindowSpec(2, 1)])
+    first, second = stack.layers
+    if case == "tie":
+        ties = first.cell_means[np.cumsum(first.ncells) - first.ncells]  # each window's first cell
+        disc = dataclasses.replace(stack.rediscretizers[0], thresholds=ties)
+        stack = dataclasses.replace(stack, rediscretizers=(disc,))
+    if case == "unseen":  # a fallback per window, so that each one shows
+        layers = tuple(dataclasses.replace(lay, fallback=gen.random(lay.n_windows)) for lay in stack.layers)
+        stack = dataclasses.replace(stack, layers=layers)
+    rows = DiscreteDataset(
+        np.concatenate([train.features, gen.integers(0, counts, size=(40, 36))]), np.zeros(n + 40, dtype=int), counts
+    )
+    staged = stack_outputs(stack, rows)  # the every-window plan: a stage per layer
+    if case == "tie":
+        assert (staged[0].features == stack.rediscretizers[0].thresholds).any()
+    if case == "unseen":
+        for out, layer in zip(staged, stack.layers):
+            assert (out.features == layer.fallback).any()
+    stages = 1
+    if case == "refused":
+        with monkeypatch.context() as mp:
+            mp.setattr(convlayer, "_merge", lambda *stages: None)
+            sizes = [len(lookup[-1]) for lookup, _ in dataclasses.replace(stack)._read_plan[0]]
+        assert max(sizes) < len(stack._read_plan[0][0][0][-1])
+        monkeypatch.setattr(convlayer, "TABLE_LIMIT", max(sizes))
+        stack, stages = dataclasses.replace(stack), 2
+    if case == "one-window-chunks":
+        monkeypatch.setattr(convlayer, "GATHER_LIMIT", 1)
+        stack = dataclasses.replace(stack)
+    coders, _ = stack._read_plan
+    assert [lookup is None for lookup, _ in coders] == [False] * stages
+    if stages == 1:  # an entry per level combination of the input pixels each layer-2 window reads
+        fields = [{p for j in f.selected_subset for p in first.features[j].selected_subset} for f in second.features]
+        assert len(coders[0][0][-1]) == sum(int(np.prod(counts[sorted(f)])) for f in fields)
+    served = convlayer._walk(stack._read_plan, rows.features)
+    assert served[-1].tobytes() == staged[-1].features.tobytes()

@@ -28,6 +28,7 @@ from interconv import (
     sensitivity,
     specificity,
 )
+from interconv.core import window_pixels
 
 # (axis length, start, window, stride) -> positions along the axis
 REFERENCE_GEOMETRY = [
@@ -89,6 +90,15 @@ def test_stride_and_start_offsets():
     assert len(windows) == 61 * 61
     # corner of the first window sits at (row 6, col 6) 1-based
     assert windows[0][0] == 5 * 128 + 5
+
+
+def test_a_stride_past_int64_leaves_one_window_per_axis():
+    """A stride past the axis counts one window, as a stride of the axis
+    length does; at 2**63 it no longer fits an int64 and must not have to."""
+    expected = window_pixels(GridShape(6, 6), WindowSpec(2, 6))
+    assert expected.tolist() == [[0, 1, 6, 7]]
+    for stride in (2**63 - 1, 2**63, 2**64):
+        assert np.array_equal(window_pixels(GridShape(6, 6), WindowSpec(2, stride)), expected)
 
 
 @given(

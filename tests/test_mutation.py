@@ -12,6 +12,12 @@ predict --data`, which exits 2 or 3 with no traceback and no output
 directory. Each case flips, inserts or cuts bytes, or rewrites one header
 token, sample, value or line.
 
+Config: mutated config files and `--set` values through `interconv fit`
+and `interconv synth` exit 0, 2, 3 or 4 with no traceback, and an exit 2
+leaves no output directory. A config file may gain a BOM, non-UTF-8 bytes,
+a line without `=`, a duplicated or unknown key, comments and blank lines;
+every key is set to values from an edge list.
+
 Cases are drawn by a seeded `random.Random`, so a run is reproducible.
 """
 
@@ -36,7 +42,7 @@ from interconv import (
     preset_config,
     save_bundle,
 )
-from interconv.cli import main
+from interconv.cli import DEFAULTS, main
 from interconv.dataio import load_images, read_dataset_csv
 from interconv.pgm import read_pgm
 from interconv.pipeline import layer_maps
@@ -309,3 +315,75 @@ def test_mutated_predict_data_serves_or_exits_2_or_3(tmp_path, capsys):
         assert out.exists() == (code == 0), err
         served += code == 0
     assert 0 < served < 2 * CLI_CASES
+
+
+CONFIG_CASES = 300
+BIG = [str(2**31), str(2**63), str(2**64)]
+EDGE_VALUES = ["", "-1", "0", *BIG, "nan", "inf", "1e400", "x"]
+# A valid size allocates or loops at scale (epochs=2**64 trains for ever), so
+# a sized key takes only small values and the big ones that it refuses.
+SIZED = {
+    "hidden": BIG[1:], "output_units": BIG, "epochs": [], "batch_size": [], "test_per_class": [],
+    "augment_per_class": [], "synth_features": BIG[1:], "synth_train": BIG[1:], "synth_test": BIG[1:],
+}
+# window, stride and start past int64, and grids whose size is no data width
+SPECS = {"layers": [f"2:{v}" for v in BIG] + [f"{v}:1" for v in BIG] + [f"2:1:{v}" for v in BIG],
+         "grid": [f"{v}x{v}" for v in BIG]}
+CONFIG_SEED = "# a small run\nepochs = 1\nsynth_train = 20\nsynth_test = 0\n\ndiscretizer = global:0.5\n"
+NAMED_SETTINGS = [
+    ("fit", "layers=2:9223372036854775808", 0),  # a stride past the axis and past int64: one window per axis
+    ("fit", f"hidden={2**64}", 2),  # a hidden width no array can hold, once a numpy traceback
+]
+
+
+def edge_setting(rng):
+    key = rng.choice(list(DEFAULTS))
+    small = ["", "-1", "0", "1", "nan", "inf", "1e400", "x"]
+    return f"{key}={rng.choice(small + SIZED[key] if key in SIZED else EDGE_VALUES + SPECS.get(key, []))}"
+
+
+def config_mutation(rng, data):
+    """A BOM, non-UTF-8 bytes, a line without `=`, a duplicated or unknown key, a comment or blank lines."""
+    lines = data.split(b"\n")
+    at = rng.randrange(len(lines))
+    what = rng.choice(["bom", "latin1", "no equals", "duplicate", "unknown", "comment", "blank"])
+    if what == "bom":
+        lines[0] = b"\xef\xbb\xbf" + lines[0]
+    elif what == "latin1":
+        lines[at] = lines[at][: len(lines[at]) // 2] + "é".encode("latin-1") + lines[at][len(lines[at]) // 2 :]
+    elif what == "no equals":
+        lines[at] = lines[at].replace(b"=", b" ")
+    else:
+        line = {"duplicate": edge_setting(rng), "unknown": "no_such_key = 1", "comment": "   # = a comment",
+                "blank": "  "}[what]
+        lines.insert(at, line.encode())
+    return b"\n".join(lines)
+
+
+def test_mutated_configs_exit_0_2_3_or_4(tmp_path, capsys):
+    """`interconv fit` (on a small CSV) and `interconv synth` with a mutated
+    config file and `--set` values from the edge list, after the named cases."""
+    gen = np.random.default_rng(6)
+    data, config = tmp_path / "train.csv", tmp_path / "run.cfg"
+    data.write_text("X1,X2,X3,X4,Y\n" + "".join(f"{a},{b},{c},{d},{k % 2}\n" for k, (a, b, c, d)
+                                                in enumerate(gen.random((20, 4)).tolist())))
+    rng = random.Random("config")
+    cases = [(command, [setting], code) for command, setting, code in NAMED_SETTINGS]
+    for _ in range(CONFIG_CASES):
+        settings = [edge_setting(rng) for _ in range(rng.randint(0, 2))]
+        cases.append((rng.choice(["fit", "synth"]), settings, None))
+    codes = []
+    for k, (command, settings, expected) in enumerate(cases):
+        text = CONFIG_SEED.encode()
+        for _ in range(rng.randint(0, 2) if expected is None else 0):
+            text = config_mutation(rng, text)
+        config.write_bytes(text)
+        out = tmp_path / f"out{k}"
+        argv = [command, "--config", str(config), "--out", str(out), "--set", f"train={data}", "--set", "grid=2x2"]
+        code = main([*argv, *(item for setting in settings for item in ("--set", setting))])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4) and "Traceback" not in err, (command, settings, text)
+        assert code != 2 or not out.exists(), (command, settings, err)
+        assert expected is None or code == expected, (command, settings, err)
+        codes.append(code)
+    assert {0, 2} <= set(codes)

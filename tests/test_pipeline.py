@@ -466,22 +466,33 @@ def read_windows(stack):
     return read
 
 
-def build_plans(stack, over=()):
+def build_plans(stack, over=(), merge=True):
     """Build both of `stack`'s cached plans, serving layers `over` (0-based)
     by their per-window searchsorted, as if over `TABLE_LIMIT`: those layers'
-    `_coder` calls run under a limit of 0."""
-    coder = convlayer._coder
+    `_coder` calls run under a limit of 0. Unless `merge`, every `_merge` of
+    the read plan's dense stages runs under a limit of 0 too, so it is refused.
+    The every-window plan and a refused read plan serve a stage per layer; a
+    merged read plan folds all of a case's dense stages into one."""
+    coder, merger = convlayer._coder, convlayer._merge
 
     def limited(layer, keep, cols):
         limit = 0 if any(layer is stack.layers[k] for k in over) else convlayer.TABLE_LIMIT
         with mock.patch.object(convlayer, "TABLE_LIMIT", limit):
             return coder(layer, keep, cols)
 
+    def refused(*stages):
+        with mock.patch.object(convlayer, "TABLE_LIMIT", convlayer.TABLE_LIMIT if merge else 0):
+            return merger(*stages)
+
     assert not {"_full_plan", "_read_plan"} & set(vars(stack))
-    with mock.patch.object(convlayer, "_coder", limited):
+    with mock.patch.object(convlayer, "_coder", limited), mock.patch.object(convlayer, "_merge", refused):
         plans = stack._full_plan, stack._read_plan
-    for coders, _ in plans:
-        assert [lookup is None for lookup, _ in coders] == [k in over for k in range(len(stack.layers))]
+    staged = [k in over for k in range(len(stack.layers))]
+    assert [lookup is None for lookup, _ in plans[0][0]] == staged
+    if merge and not over:
+        assert [lookup is None for lookup, _ in plans[1][0]] == [False]
+    else:
+        assert [lookup is None for lookup, _ in plans[1][0]] == staged
     return plans
 
 
@@ -509,33 +520,52 @@ WALK_CASES = {
 def test_served_walk_matches_the_checked_stack(mode, rows, case, seed):
     """`predict_bundle`, `bundle_features` and `layer_maps` bitwise equal to
     `forward` over `transform_stack` and to `stack_outputs`, at 1 row and past
-    the `GATHER_LIMIT` chunk edge of the plan served, with layers over
-    `TABLE_LIMIT`; a "last" stack codes only the windows its last layer reads."""
+    the `GATHER_LIMIT` chunk edge of every stage served, with layers over
+    `TABLE_LIMIT`, with the read plan's dense stages merged and with the merge
+    refused; a "last" stack codes only the windows its last layer reads."""
     specs, over = WALK_CASES[case]
     gen = np.random.default_rng(seed)
     y = gen.integers(0, 2, size=80)
     x = gen.integers(0, 5, size=(80, 36)) / 4 + 0.1 * y[:, np.newaxis]
     config = small_config(discretizer="median", layers=specs, features_mode=mode)
-    bundle, _ = fit_pipeline(config, RealDataset(x, y))
-    every_window_plan, read_plan = build_plans(bundle.stack, over)
-    coders, _ = read_plan if mode == "last" else every_window_plan
+    fitted, _ = fit_pipeline(config, RealDataset(x, y))
+    bundles = [dataclasses.replace(fitted, stack=dataclasses.replace(fitted.stack)) for _ in range(2)]
+    plans = [build_plans(bundle.stack, over, merge) for bundle, merge in zip(bundles, (True, False))]
     if rows == "one":
         n = 1
     else:
         # with no dense stage there is no chunk edge: a few rows
-        steps = [convlayer.GATHER_LIMIT // lookup[0].size for lookup, _ in coders if lookup is not None]
-        n = max(steps, default=2) + 1
+        stages = [lookup for plan in plans for coders, _ in plan for lookup, _ in coders]
+        n = max((convlayer.GATHER_LIMIT // lookup[0].size for lookup in stages if lookup is not None), default=2) + 1
     fresh = gen.integers(0, 5, size=(n, 36)) / 4
 
-    outputs, joined = checked_stack(bundle, fresh)
-    assert same_bytes(pipeline.bundle_features(bundle, fresh), joined.features)
-    assert same_bytes(predict_bundle(bundle, fresh), forward(bundle, joined.features))
-    for served, checked in zip(layer_maps(bundle, fresh), outputs, strict=True):
-        assert same_bytes(served.reshape(n, -1), checked.features)
-    coded = [out.shape[1] for out in pipeline._served(bundle, fresh)[1]]
-    every = [layer.n_windows for layer in bundle.stack.layers]
-    assert coded == (every if mode == "concat" else [len(r) for r in read_windows(bundle.stack)])
-    assert mode == "concat" or all(c < e for c, e in zip(coded[:-1], every))
+    outputs, joined = checked_stack(fitted, fresh)
+    every = [layer.n_windows for layer in fitted.stack.layers]
+    for bundle, merge in zip(bundles, (True, False)):
+        assert same_bytes(pipeline.bundle_features(bundle, fresh), joined.features)
+        assert same_bytes(predict_bundle(bundle, fresh), forward(bundle, joined.features))
+        for served, checked in zip(layer_maps(bundle, fresh), outputs, strict=True):
+            assert same_bytes(served.reshape(n, -1), checked.features)
+        coded = [out.shape[1] for out in pipeline._served(bundle, fresh)[1]]
+        if mode == "concat":
+            assert coded == every
+        elif merge and not over:
+            assert coded == every[-1:]  # one stage, straight from the input
+        else:
+            assert coded == [len(r) for r in read_windows(bundle.stack)]
+            assert all(c < e for c, e in zip(coded[:-1], every))
+
+
+def test_a_model3_bundle_serves_through_one_stage():
+    """Preset model3's two layers fold into one dense stage of the read plan,
+    and it serves bitwise what the staged walk does."""
+    bundle = model3_bundle()
+    coders, between = bundle.stack._read_plan
+    assert [lookup is None for lookup, _ in coders] == [False] and between == []
+    rows = np.random.default_rng(7).random((40, 256))
+    _, joined = checked_stack(bundle, rows)
+    assert same_bytes(pipeline.bundle_features(bundle, rows), joined.features)
+    assert same_bytes(predict_bundle(bundle, rows), forward(bundle, joined.features))
 
 
 def with_unread_windows_changed(bundle):
@@ -575,20 +605,21 @@ def test_windows_no_later_layer_reads_move_no_last_score():
 def test_the_table_cap_is_met_per_plan():
     """Under a `TABLE_LIMIT` between the layer-1 table of a "last" stack's
     read plan and that of its every-window plan, the served walk codes layer
-    1 by its dense table and `stack_outputs` by per-window searches, and they
-    still agree bitwise."""
+    1 by a dense table (here merged with layer 2's, which reads one layer-1
+    window per window, so the merge is no larger) and `stack_outputs` by
+    per-window searches, and they still agree bitwise."""
     gen = np.random.default_rng(6)
     y = gen.integers(0, 2, size=80)
     x = gen.integers(0, 5, size=(80, 36)) / 4 + 0.1 * y[:, np.newaxis]
     fresh = gen.integers(0, 5, size=(30, 36)) / 4
     bundle, _ = fit_pipeline(small_config(discretizer="median", layers=TWO_LAYERS), RealDataset(x, y))
-    every_window_plan, read_plan = build_plans(dataclasses.replace(bundle.stack))
+    every_window_plan, read_plan = build_plans(dataclasses.replace(bundle.stack), merge=False)
     read, every = (len(plan[0][0][0][-1]) for plan in (read_plan, every_window_plan))
     assert read < every
     bundle = dataclasses.replace(bundle, stack=dataclasses.replace(bundle.stack))  # no plan built yet
     with mock.patch.object(convlayer, "TABLE_LIMIT", read):
         (every_l1, _), _ = bundle.stack._full_plan[0]
-        (read_l1, _), _ = bundle.stack._read_plan[0]
+        (read_l1, _), *_ = bundle.stack._read_plan[0]
     assert every_l1 is None and read_l1 is not None
     outputs, joined = checked_stack(bundle, fresh)
     assert same_bytes(pipeline.bundle_features(bundle, fresh), joined.features)
