@@ -29,13 +29,13 @@ from .pipeline import (
     PipelineConfig,
     evaluate_bundle,
     fit_pipeline,
+    fit_shape,
     format_report,
     geometry_line,
     layer_maps,
     predict_bundle,
     bundle_features,
     preset_config,
-    resolve_grid,
     write_fit_outputs,
 )
 
@@ -289,9 +289,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         raise ConfigError("the train subcommand trains on flat features; use fit for window layers")
     data, heldout = _load_fit_data(raw, image_keys, config.hyper.seed)
     val_data = dataio.read_dataset_csv(raw["val"]) if raw["val"] else None
-    # validate the full geometry chain before creating any output
-    if config.layers:
-        resolve_grid(config, data.width)
+    fit_shape(config, data.width)  # the grid chain and the classifier, before any output
     out = _out_dir(args)
     write_resolved(out, raw)
     bundle, report = fit_pipeline(config, data, val_data)

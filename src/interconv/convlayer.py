@@ -539,7 +539,8 @@ def _plan(stack: ConvStack, every_window: bool):
     keeps = [np.arange(layer.n_windows) for layer in layers]
     for k in [] if every_window else range(len(layers) - 1, 0, -1):
         (read,), _ = _take((layers[k].subset_flat,), layers[k].subset_len, keeps[k])
-        keeps[k - 1] = np.unique(read)
+        # the sorted set, by counts: `np.unique` would import `numpy.ma` on a fresh process's first call
+        keeps[k - 1] = np.flatnonzero(np.bincount(read, minlength=layers[k - 1].n_windows))
     cols = [np.arange(layers[0].input_grid.size), *keeps]  # layer k reads layer k-1's kept windows
     stages = [_coder(layer, keep, c) for layer, keep, c in zip(layers, keeps, cols)]
     served, between, start = stages[:1], [], 0  # start: the layer whose input the last stage reads

@@ -20,7 +20,8 @@ import numpy as np
 from .errors import DataError, GeometryError
 
 # Most elements one working array may hold: the median fit sorts, the
-# lockstep fit groups or regroups, and `transform` codes at most that many.
+# lockstep fit groups or regroups, `transform` codes, and a whole-matrix
+# check tests at most that many.
 GATHER_LIMIT = 2**17
 
 
@@ -134,6 +135,16 @@ def _is_binary(values: np.ndarray) -> bool:
     return bool(((values == 0) | (values == 1)).all())
 
 
+def _holds(matrix: np.ndarray, test) -> bool:
+    """Whether `test(block)` is true everywhere, for every block of rows of a matrix with columns:
+    blocks of at most `GATHER_LIMIT` elements (or one row), so a check's temporaries stay bounded
+    as rows grow. A matrix of at most `GATHER_LIMIT` elements, such as one image row, is one call."""
+    if matrix.size <= GATHER_LIMIT:
+        return test(matrix).all()
+    step = max(1, GATHER_LIMIT // matrix.shape[1])
+    return all(test(matrix[lo : lo + step]).all() for lo in range(0, len(matrix), step))
+
+
 def _check_response(response: np.ndarray, n: int) -> np.ndarray:
     response = np.asarray(response)
     if response.shape != (n,):
@@ -149,7 +160,7 @@ def _matrix(features, dtype=None, *, finite: bool = False) -> np.ndarray:
     feats = np.asarray(features, dtype=dtype)
     if feats.ndim != 2 or feats.shape[0] < 1 or feats.shape[1] < 1:
         raise DataError(f"features must be a non-empty 2-d array, got shape {feats.shape}")
-    if finite and not np.isfinite(feats).all():
+    if finite and not _holds(feats, np.isfinite):
         raise DataError("features must be finite")
     return feats
 
@@ -189,9 +200,9 @@ class DiscreteDataset(_Dataset):
         narrow = feats.dtype == np.bool_
         if not narrow:
             if not np.issubdtype(feats.dtype, np.integer):
-                if not np.isfinite(feats).all():
+                if not _holds(feats, np.isfinite):
                     raise DataError("discrete features must be finite")
-                if not np.all(feats == np.floor(feats)):
+                if not _holds(feats, lambda b: b == np.floor(b)):
                     raise DataError("discrete features must be integer-valued")
             feats = feats.astype(np.int64, copy=False)
             if feats.min() < 0:
@@ -205,7 +216,7 @@ class DiscreteDataset(_Dataset):
             if counts.shape != (p,):
                 raise DataError(f"level_counts shape {counts.shape} does not match {p} columns")
             # bool levels lie in [0, 2) by their type
-            if (counts < 2).any() or (not narrow and (feats >= counts[np.newaxis, :]).any()):
+            if (counts < 2).any() or (not narrow and not _holds(feats, lambda b: b < counts)):
                 raise DataError("feature levels must lie in [0, level_counts) with >= 2 levels")
         # a bool input is frozen itself, so no write to it can reach the view
         feats = _freeze(feats)

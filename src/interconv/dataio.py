@@ -23,8 +23,8 @@ import numpy as np
 
 from .convlayer import FEATURE_MODES, LAYER_ARRAYS, ConvStack, FittedConvLayer
 from .core import (
-    DiscreteDataset, GridShape, RealDataset, WindowSpec, _check_response, _csv_records, _freeze, _read_text,
-    _write_csv,
+    DiscreteDataset, GridShape, RealDataset, WindowSpec, _check_response, _csv_records, _freeze, _holds,
+    _read_text, _write_csv,
 )
 from .discretize import Discretizer
 from .errors import (
@@ -62,7 +62,7 @@ class ImageSet:
             raise DataError(
                 f"intensities shape {x.shape} does not match grid {self.grid.rows}x{self.grid.cols}"
             )
-        if not ((x >= 0.0) & (x <= 1.0)).all():
+        if not _holds(x, lambda b: (b >= 0.0) & (b <= 1.0)):
             raise DataError("intensities must lie in [0, 1]")
         labels = _check_response(self.labels, x.shape[0])
         if len(self.sources) != x.shape[0]:
@@ -105,7 +105,8 @@ def load_images(manifest: str | Path) -> ImageSet:
 
     Paths are resolved relative to the manifest's directory. Every image
     must share the dimensions of the first; raw values are scaled by 1/255
-    into [0, 1].
+    into [0, 1], each image's straight into its row of one matrix sized
+    from the first.
     """
     manifest = Path(manifest)
     base = manifest.parent
@@ -125,24 +126,22 @@ def load_images(manifest: str | Path) -> ImageSet:
     if not rows:
         raise DataError(f"{manifest}: no images listed")
 
-    grid: GridShape | None = None
-    mats: list[np.ndarray] = []
-    for rel, _ in rows:
+    for i, (rel, _) in enumerate(rows):
         try:
             mat = _read_image_matrix(base / rel)
         except OSError as exc:
             raise DataError(f"cannot read image {base / rel}: {exc}") from exc
-        if grid is None:
+        if i == 0:
             grid = GridShape(*mat.shape)
+            intensities = np.empty((len(rows), grid.size))
         elif mat.shape != (grid.rows, grid.cols):
             raise DataError(
                 f"{base / rel}: image is {mat.shape[0]}x{mat.shape[1]}, "
                 f"corpus is {grid.rows}x{grid.cols}"
             )
-        mats.append(mat.reshape(-1) / 255.0)
-    assert grid is not None
+        np.divide(mat.reshape(-1), 255.0, out=intensities[i])
     return ImageSet(
-        intensities=np.vstack(mats),
+        intensities=intensities,
         labels=np.array([lab for _, lab in rows], dtype=np.int64),
         sources=tuple(rel for rel, _ in rows),
         grid=grid,
@@ -185,36 +184,44 @@ def augment_images(
     """Top every class up to `target_per_class` with noisy copies of originals.
 
     Originals are kept untouched and come first; copies are appended grouped
-    by class (ascending label), each tagged `source#augN`. Gaussian pixel
-    noise is clamped back into [0, 1]; sd 0 duplicates exactly.
+    by class (ascending label), each tagged `source#augN`, and written in
+    place into one matrix. Gaussian pixel noise is clamped back into [0, 1];
+    sd 0 duplicates exactly.
     """
     if not 0.0 <= noise_sd < np.inf:
         raise DataError(f"noise sd must be a finite number >= 0, got {noise_sd}")
-    rng = np.random.default_rng(seed)
-    new_rows: list[np.ndarray] = []
-    new_labels: list[int] = []
-    new_sources: list[str] = []
-    for cls in sorted(np.unique(images.labels).tolist()):
-        idx = np.flatnonzero(images.labels == cls)
-        extra = target_per_class - len(idx)
-        if extra < 0:
+    classes = {cls: np.flatnonzero(images.labels == cls) for cls in sorted(np.unique(images.labels).tolist())}
+    for cls, idx in classes.items():
+        if len(idx) > target_per_class:
             raise DataError(
                 f"class {cls} already has {len(idx)} images, target {target_per_class} is smaller"
             )
+    total = len(classes) * target_per_class
+    if total == images.n:
+        return images
+    rng = np.random.default_rng(seed)
+    intensities = np.empty((total, images.intensities.shape[1]))
+    intensities[: images.n] = images.intensities
+    new_labels: list[int] = []
+    new_sources: list[str] = []
+    end = images.n
+    for cls, idx in classes.items():
+        extra = target_per_class - len(idx)
         if extra == 0:
             continue
         picks = rng.integers(0, len(idx), size=extra)
-        base = images.intensities[idx[picks]]
-        noisy = np.clip(base + rng.normal(0.0, noise_sd, size=base.shape), 0.0, 1.0)
-        new_rows.append(noisy)
+        noisy = intensities[end : end + extra]
+        # the indices are in range; "clip" writes straight into `out`, where "raise" buffers
+        np.take(images.intensities, idx[picks], axis=0, out=noisy, mode="clip")
+        noisy += rng.normal(0.0, noise_sd, size=noisy.shape)
+        np.clip(noisy, 0.0, 1.0, out=noisy)
+        end += extra
         new_labels.extend([cls] * extra)
         new_sources.extend(
             f"{images.sources[idx[p]]}#aug{k}" for k, p in enumerate(picks.tolist())
         )
-    if not new_rows:
-        return images
     return ImageSet(
-        intensities=np.vstack([images.intensities, *new_rows]),
+        intensities=intensities,
         labels=np.concatenate([images.labels, np.array(new_labels, dtype=np.int64)]),
         sources=images.sources + tuple(new_sources),
         grid=images.grid,

@@ -1,8 +1,9 @@
 """End-to-end orchestration: binarize, fit the window stack, train, predict.
 
-A `PipelineConfig` checks its own values; the window geometry needs the data
-width, so `resolve_grid` checks the chain of grids once the width is known,
-for `fit_pipeline` and the CLI alike, before any fitting starts.
+A `PipelineConfig` checks its own values; the window geometry and the
+classifier's shape need the data width, so `fit_shape` checks the chain of
+grids and the classifier once the width is known, for `fit_pipeline` and the
+CLI alike, before any fitting or output starts.
 """
 
 from __future__ import annotations
@@ -91,6 +92,18 @@ def geometry_chain(grid: GridShape, layers: tuple[WindowSpec, ...]) -> list[Grid
     return chain
 
 
+def fit_shape(config: PipelineConfig, width: int) -> tuple[GridShape | None, MlpArchitecture]:
+    """The input grid (None without window layers) and the classifier that a fit
+    of `config` trains on rows of `width` columns, whose input is the stack's
+    output width; refuses a grid chain or a classifier that cannot be built."""
+    grid = None
+    if config.layers:
+        grid = resolve_grid(config, width)
+        sizes = [g.size for g in geometry_chain(grid, config.layers)[1:]]
+        width = sum(sizes) if config.features_mode == "concat" else sizes[-1]
+    return grid, MlpArchitecture(width, config.hidden, config.output_units)
+
+
 @dataclass(frozen=True, eq=False)
 class FitReport:
     train_result: TrainResult
@@ -102,8 +115,8 @@ def fit_pipeline(
     """Fit the full pipeline on `data` and return the bundle plus a report."""
     if val_data is not None and val_data.width != data.width:
         raise DataError("validation data width does not match training data")
+    grid, arch = fit_shape(config, data.width)
     if config.layers:
-        grid = resolve_grid(config, data.width)
         disc = fit_discretizer(data, config.discretizer)
         ddata = apply_discretizer(disc, data)
         stack, outputs = stack_layers(
@@ -115,15 +128,11 @@ def fit_pipeline(
             val_d = apply_discretizer(disc, val_data)
             val_features = transform_stack(stack, val_d, mode=config.features_mode)
     else:
-        grid = None
         disc = None
         stack = None
         features = data
         val_features = val_data
 
-    arch = MlpArchitecture(
-        input_width=features.width, hidden=config.hidden, output_units=config.output_units
-    )
     result = train(arch, features, config.hyper, val_features)
     bundle = ModelBundle(
         input_grid=grid,

@@ -13,7 +13,9 @@ update); and `preset_architecture`, which reads the package's presets and
 geometry.
 `with_manifest` and `with_arrays` rewrite a saved bundle's manifest and
 array sections, parsing the file format by hand; `trace_report` prints a
-backward dropping trajectory.
+backward dropping trajectory. `stacked_intensities` and `stacked_augment`
+are the list-then-`np.vstack` forms that `load_images` and `augment_images`
+once had, reading PGM images with the package's `read_pgm`.
 """
 
 import itertools
@@ -37,6 +39,7 @@ from interconv import (
     init_model,
     partition_stats,
     preset_config,
+    read_pgm,
 )
 from interconv.nn import MlpModel, _as_matrix, _forward_parts, _gradients, _rmsprop_update, _targets
 from interconv.pipeline import geometry_chain
@@ -448,3 +451,35 @@ def trace_report(trace):
     best = " ".join(f"X{j + 1}" for j in trace.best_subset)
     lines.append(f"best: {best} (score {trace.best_score:.4f})")
     return "\n".join(lines)
+
+
+def stacked_intensities(manifest):
+    """The intensity matrix of a `path,label` manifest of .pgm and .csv images,
+    built as a list of rows scaled by 1/255, then stacked."""
+    rows = []
+    for line in manifest.read_text(encoding="utf-8").splitlines()[1:]:
+        path = manifest.parent / line.split(",")[0]
+        if path.suffix == ".pgm":
+            mat = read_pgm(path).astype(np.float64)
+        else:
+            mat = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
+        rows.append(mat.reshape(-1) / 255.0)
+    return np.vstack(rows)
+
+
+def stacked_augment(images, target_per_class, noise_sd, seed):
+    """(intensities, labels, sources) of `augment_images`, with each class's
+    noisy copies drawn as one array and every part stacked at the end."""
+    rng = np.random.default_rng(seed)
+    rows, labels, sources = [images.intensities], [images.labels], list(images.sources)
+    for cls in sorted(set(images.labels.tolist())):
+        idx = np.flatnonzero(images.labels == cls)
+        extra = target_per_class - len(idx)
+        if extra == 0:
+            continue
+        picks = rng.integers(0, len(idx), size=extra)
+        base = images.intensities[idx[picks]]
+        rows.append(np.clip(base + rng.normal(0.0, noise_sd, size=base.shape), 0.0, 1.0))
+        labels.append(np.full(extra, cls, dtype=np.int64))
+        sources += [f"{images.sources[idx[p]]}#aug{k}" for k, p in enumerate(picks.tolist())]
+    return np.vstack(rows), np.concatenate(labels), tuple(sources)

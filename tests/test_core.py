@@ -28,6 +28,7 @@ from interconv import (
     sensitivity,
     specificity,
 )
+from interconv import core
 from interconv.core import window_pixels
 
 # (axis length, start, window, stride) -> positions along the axis
@@ -269,6 +270,32 @@ def test_real_dataset_rejects_non_finite():
         RealDataset(np.array([[np.nan]]), np.array([0]))
     with pytest.raises(DataError):
         RealDataset(np.array([[np.inf]]), np.array([1]))
+
+
+ZEROS = np.zeros(5, dtype=np.int64)
+# each whole-matrix check: a build over a 5x3 matrix, a value that fails it, and its message
+BLOCKED_CHECKS = {
+    "RealDataset": (lambda x: RealDataset(x, ZEROS), np.nan, "features must be finite"),
+    "ImageSet": (lambda x: ImageSet(x, ZEROS, tuple("abcde"), GridShape(1, 3)), 1.5, "must lie in \\[0, 1\\]"),
+    "DiscreteDataset finite": (lambda x: DiscreteDataset(x, ZEROS), np.inf, "discrete features must be finite"),
+    "DiscreteDataset integer": (lambda x: DiscreteDataset(x, ZEROS), 0.5, "must be integer-valued"),
+    "DiscreteDataset levels": (
+        lambda x: DiscreteDataset(x.astype(np.int64), ZEROS, level_counts=np.full(3, 2)), 2, "must lie in \\[0, level"
+    ),
+}
+
+
+@pytest.mark.parametrize("limit", [1, 6, core.GATHER_LIMIT])
+@pytest.mark.parametrize("check", sorted(BLOCKED_CHECKS))
+def test_whole_matrix_checks_see_every_block(monkeypatch, check, limit):
+    monkeypatch.setattr(core, "GATHER_LIMIT", limit)  # 1: a row per block; 6: blocks of 2, 2 and 1 rows
+    build, bad, message = BLOCKED_CHECKS[check]
+    build(np.zeros((5, 3)))
+    for row in range(5):
+        x = np.zeros((5, 3))
+        x[row, 1] = bad
+        with pytest.raises(DataError, match=message):
+            build(x)
 
 
 def _reads_text(call: ast.Call) -> bool:

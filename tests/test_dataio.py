@@ -9,7 +9,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import pytest
 from conftest import with_blank_lines
-from oracles import _rewrite_sections, with_arrays, with_manifest
+from oracles import _rewrite_sections, stacked_augment, stacked_intensities, with_arrays, with_manifest
 
 from interconv import (
     BundleFormatError,
@@ -82,6 +82,25 @@ def test_load_images_accepts_csv_images(tmp_path):
     manifest.write_text("a.csv,0\nb.csv,1\n")
     images = load_images(manifest)
     assert images.intensities[0].tolist() == [0.0, 128 / 255.0, 1.0, 64 / 255.0]
+
+
+@pytest.mark.parametrize("kind", ["pgm", "csv", "both"])
+def test_load_images_fills_the_matrix_that_stacked_rows_give(tmp_path, kind):
+    gen = np.random.default_rng(7)
+    lines = []
+    for i in range(9):
+        pixels = gen.integers(0, 256, size=(5, 7))
+        name = f"im{i}.{'pgm' if kind == 'pgm' or (kind == 'both' and i % 2) else 'csv'}"
+        if name.endswith(".pgm"):
+            write_pgm(tmp_path / name, pixels / 255.0)
+        else:
+            (tmp_path / name).write_text("\n".join(",".join(map(str, row)) for row in pixels.tolist()) + "\n")
+        lines.append(f"{name},{i % 2}")
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("path,label\n" + "\n".join(lines) + "\n")
+    images = load_images(manifest)
+    assert images.intensities.tobytes() == stacked_intensities(manifest).tobytes()
+    assert images.intensities.shape == (9, 35) and images.intensities.flags.c_contiguous
 
 
 def test_a_bom_csv_image_reads_like_one_without(tmp_path):
@@ -185,6 +204,15 @@ def test_augment_zero_noise_duplicates(tmp_path):
         origin = grown.sources[i].split("#")[0]
         j = images.sources.index(origin)
         assert np.array_equal(grown.intensities[i], images.intensities[j])
+
+
+@pytest.mark.parametrize("noise_sd", [0.0, 0.05])
+def test_augment_fills_what_stacked_copies_give(tmp_path, noise_sd):
+    images = load_images(make_corpus(tmp_path, n0=5, n1=2, seed=3))
+    grown = augment_images(images, target_per_class=9, noise_sd=noise_sd, seed=11)
+    intensities, labels, sources = stacked_augment(images, 9, noise_sd, seed=11)
+    assert grown.intensities.tobytes() == intensities.tobytes()
+    assert grown.labels.tolist() == labels.tolist() and grown.sources == sources
 
 
 def test_augment_to_a_target_every_class_meets_returns_its_input(tmp_path):

@@ -10,7 +10,9 @@ Text inputs: mutated PGM images and dataset CSVs either load or are refused
 with an `InterconvError`, through the readers and through `interconv
 predict --data`, which exits 2 or 3 with no traceback and no output
 directory. Each case flips, inserts or cuts bytes, or rewrites one header
-token, sample, value or line.
+token, sample, value or line. Six-image corpora of PGM and CSV images go
+through `load_images` and `interconv fit --set images=` the same way, with a
+manifest line also pointed at a missing file, another image or a bad label.
 
 Config: mutated config files and `--set` values through `interconv fit`
 and `interconv synth` exit 0, 2, 3 or 4 with no traceback, and an exit 2
@@ -317,6 +319,95 @@ def test_mutated_predict_data_serves_or_exits_2_or_3(tmp_path, capsys):
     assert 0 < served < 2 * CLI_CASES
 
 
+CORPUS_CASES = 200
+
+
+def write_corpus(path):
+    """Six 3x3 images behind a `path,label` manifest, three of each class,
+    alternately P5 files and CSV files; returns the manifest."""
+    gen = np.random.default_rng(9)
+    lines = []
+    for i in range(6):
+        pixels = gen.integers(0, 256, size=(3, 3))
+        if i % 2:
+            name = f"im{i}.csv"
+            (path / name).write_text("".join(",".join(map(str, row)) + "\n" for row in pixels.tolist()))
+        else:
+            name = f"im{i}.pgm"
+            (path / name).write_bytes(b"P5\n3 3\n255\n" + pixels.astype(np.uint8).tobytes())
+        lines.append(f"{name},{i // 3}")
+    manifest = path / "manifest.csv"
+    manifest.write_text("path,label\n" + "\n".join(lines) + "\n")
+    return manifest
+
+
+def with_line(manifest, k, line):
+    """The manifest with its line k + 1 (the k-th image's, unless lines were added) replaced."""
+    lines = manifest.read_bytes().split(b"\n")
+    lines[min(1 + k, len(lines) - 1)] = line.encode()
+    manifest.write_bytes(b"\n".join(lines))
+
+
+def with_csv_pixel(value):
+    return lambda m: (m.parent / "im3.csv").write_text(f"1,2,3\n4,{value},6\n7,8,9\n")
+
+
+NAMED_CORPORA = {
+    "second image 4x3": lambda m: (m.parent / "im1.csv").write_text("1,2,3\n" * 4),
+    "missing file mid-corpus": lambda m: with_line(m, 3, "missing.pgm,1"),
+    "CSV pixel nan": with_csv_pixel("nan"),
+    "CSV pixel 256": with_csv_pixel("256"),
+    "P5 maxval 65535": lambda m: (m.parent / "im4.pgm").write_bytes(b"P5\n3 3\n65535\n" + bytes(18)),
+}
+
+
+def corpus_mutation(rng, manifest):
+    """One image's bytes or one token or cell mutated, the manifest's bytes
+    mutated, or one manifest line pointed at a missing file, another image
+    or a label outside {0, 1}."""
+    what = rng.choice(["pgm", "csv", "manifest", "line"])
+    if what == "pgm":
+        image = manifest.parent / f"im{rng.choice([0, 2, 4])}.pgm"
+        image.write_bytes(rng.choice([bytes_mutation, token_mutation])(rng, image.read_bytes()))
+    elif what == "csv":
+        image = manifest.parent / f"im{rng.choice([1, 3, 5])}.csv"
+        image.write_bytes(rng.choice([bytes_mutation, csv_mutation])(rng, image.read_bytes()))
+    elif what == "manifest":
+        manifest.write_bytes(bytes_mutation(rng, manifest.read_bytes()))
+    else:
+        line = rng.choice(["missing.pgm,0", "im0.pgm,0", "im1.csv,2", "im2.pgm,x", "manifest.csv,1", ",1"])
+        with_line(manifest, rng.randrange(6), line)
+
+
+def test_mutated_corpora_load_or_exit_0_2_3_or_4(tmp_path, capsys):
+    """Multi-image manifests of CSV and PGM images, after the named cases:
+    `load_images` loads or refuses each with an `InterconvError`, and
+    `interconv fit --set images=` exits 0, 2, 3 or 4 with no traceback,
+    leaving an output directory only when it succeeds."""
+    rng = random.Random("corpus")
+    cases = [(name, edit, 3) for name, edit in NAMED_CORPORA.items()] + [(None, None, None)] * CORPUS_CASES
+    codes = []
+    for k, (name, edit, expected) in enumerate(cases):
+        (tmp_path / f"c{k}").mkdir()
+        manifest = write_corpus(tmp_path / f"c{k}")
+        if edit is None:
+            for _ in range(rng.randint(1, 2)):
+                corpus_mutation(rng, manifest)
+        else:
+            edit(manifest)
+        loaded = loads_or_is_refused(load_images, manifest)
+        out = tmp_path / f"out{k}"
+        code = main(["fit", "--out", str(out), "--set", f"images={manifest}", "--set", "layers=2:1",
+                     "--set", "discretizer=global:0.5", "--set", "epochs=1"])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4) and "Traceback" not in err, (name, err)
+        assert out.exists() == (code == 0), (name, err)
+        assert expected is None or code == expected, (name, err)
+        assert loaded == (code == 0), (name, err)
+        codes.append(code)
+    assert {0, 3} <= set(codes)
+
+
 CONFIG_CASES = 300
 BIG = [str(2**31), str(2**63), str(2**64)]
 EDGE_VALUES = ["", "-1", "0", *BIG, "nan", "inf", "1e400", "x"]
@@ -331,8 +422,10 @@ SPECS = {"layers": [f"2:{v}" for v in BIG] + [f"{v}:1" for v in BIG] + [f"2:1:{v
          "grid": [f"{v}x{v}" for v in BIG]}
 CONFIG_SEED = "# a small run\nepochs = 1\nsynth_train = 20\nsynth_test = 0\n\ndiscretizer = global:0.5\n"
 NAMED_SETTINGS = [
-    ("fit", "layers=2:9223372036854775808", 0),  # a stride past the axis and past int64: one window per axis
-    ("fit", f"hidden={2**64}", 2),  # a hidden width no array can hold, once a numpy traceback
+    ("fit", ["layers=2:9223372036854775808"], 0),  # a stride past the axis and past int64: one window per axis
+    ("fit", [f"hidden={2**64}"], 2),  # a hidden width no array can hold, once a numpy traceback
+    # a hidden width that one unit can hold but the data's width cannot, once refused after the output directory
+    ("fit", [f"hidden={2**59}", "output_units=1"], 2),
 ]
 
 
@@ -368,7 +461,7 @@ def test_mutated_configs_exit_0_2_3_or_4(tmp_path, capsys):
     data.write_text("X1,X2,X3,X4,Y\n" + "".join(f"{a},{b},{c},{d},{k % 2}\n" for k, (a, b, c, d)
                                                 in enumerate(gen.random((20, 4)).tolist())))
     rng = random.Random("config")
-    cases = [(command, [setting], code) for command, setting, code in NAMED_SETTINGS]
+    cases = list(NAMED_SETTINGS)
     for _ in range(CONFIG_CASES):
         settings = [edge_setting(rng) for _ in range(rng.randint(0, 2))]
         cases.append((rng.choice(["fit", "synth"]), settings, None))

@@ -3,6 +3,8 @@
 import csv
 import dataclasses
 import re
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -566,6 +568,25 @@ def test_a_model3_bundle_serves_through_one_stage():
     _, joined = checked_stack(bundle, rows)
     assert same_bytes(pipeline.bundle_features(bundle, rows), joined.features)
     assert same_bytes(predict_bundle(bundle, rows), forward(bundle, joined.features))
+
+
+# argv: the bundle, then the directory that holds the package
+FIRST_CALL = (
+    "import sys; sys.path.insert(0, sys.argv[2]); import numpy as np; from interconv import load_bundle, predict_bundle; "
+    "predict_bundle(load_bundle(sys.argv[1]), np.full((1, 256), 0.5)); print('numpy.ma' in sys.modules)"
+)
+
+
+def test_a_fresh_process_predicts_without_importing_numpy_ma(tmp_path):
+    """Loading a two-layer bundle and scoring one row in a fresh interpreter
+    does not import `numpy.ma`, which once cost most of the first call."""
+    save_bundle(model3_bundle(), tmp_path / "model.bundle")
+    src = Path(pipeline.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", FIRST_CALL, str(tmp_path / "model.bundle"), str(src)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0 and done.stdout.split() == ["False"], done.stderr[-2000:]
 
 
 def with_unread_windows_changed(bundle):
