@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, synth
-from .core import GridShape, RealDataset, WindowSpec, _csv_records, _read_text, _write_csv
+from .core import GridShape, RealDataset, WindowSpec, _column_names, _csv_records, _read_text, _write_csv
 from .errors import ConfigError, DataError, InterconvError, NumericError
 from .metrics import write_roc_csv
 from .nn import TrainingHyper, param_count
@@ -257,7 +257,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     for m, (indices, mix) in enumerate(spec.modules):
         rate = synth.theoretical_rate(spec, m)
         rates.append(rate)
-        names = " ".join(f"X{j + 1}" for j in indices)
+        names = " ".join(_column_names(indices))
         print(f"module {m + 1} ({names}, mix {mix}): theoretical rate {rate}")
     print(f"best theoretical rate: {max(rates)}")
     print(f"wrote {out / 'train.csv'}" + (f" and {out / 'test.csv'}" if test_data else ""))

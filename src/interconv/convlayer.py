@@ -581,6 +581,11 @@ def stack_outputs(stack: ConvStack, data: DiscreteDataset) -> list[RealDataset]:
 FEATURE_MODES = ("last", "concat")
 
 
+def _output_width(n_windows: list[int], mode: str) -> int:
+    """Columns of a stack's output, from each layer's window count: the last layer's, or their sum under concat."""
+    return sum(n_windows) if mode == "concat" else n_windows[-1]
+
+
 def _join_outputs(outputs: list[np.ndarray], mode: str) -> np.ndarray:
     if mode == "last":
         return outputs[-1]

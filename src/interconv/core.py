@@ -100,6 +100,11 @@ def enumerate_windows(grid: GridShape, spec: WindowSpec) -> list[tuple[int, ...]
     return [tuple(w) for w in window_pixels(grid, spec).tolist()]
 
 
+def _column_names(indices) -> list[str]:
+    """The 1-based names X1, X2, ... of 0-based feature columns, as dataset headers and reports write them."""
+    return [f"X{j + 1}" for j in indices]
+
+
 def _write_csv(path: str | Path, header: list[str], rows) -> None:
     """Write one table; `csv` writes each float by its shortest repr, so it reads back exactly."""
     with open(path, "w", newline="", encoding="utf-8") as fh:

@@ -15,16 +15,17 @@ from __future__ import annotations
 import io
 import math
 import struct
+import warnings
 import zlib
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .convlayer import FEATURE_MODES, LAYER_ARRAYS, ConvStack, FittedConvLayer
+from .convlayer import FEATURE_MODES, LAYER_ARRAYS, ConvStack, FittedConvLayer, _output_width
 from .core import (
-    DiscreteDataset, GridShape, RealDataset, WindowSpec, _check_response, _csv_records, _freeze, _holds,
-    _read_text, _write_csv,
+    GATHER_LIMIT, DiscreteDataset, GridShape, RealDataset, WindowSpec, _check_response, _column_names,
+    _csv_records, _freeze, _holds, _read_text, _write_csv,
 )
 from .discretize import Discretizer
 from .errors import (
@@ -86,9 +87,13 @@ def _read_image_matrix(path: Path) -> np.ndarray:
     if path.suffix.lower() == ".csv":
         text = _read_text(path, f"image {path}")
         try:
-            mat = np.loadtxt(io.StringIO(text, newline=""), delimiter=",", ndmin=2, dtype=np.float64)
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                mat = np.loadtxt(io.StringIO(text, newline=""), delimiter=",", ndmin=2, dtype=np.float64)
         except ValueError as exc:
             raise DataError(f"{path}: unreadable CSV image: {exc}") from exc
+        if mat.size == 0:
+            raise DataError(f"{path}: CSV image has no values")
         if not ((mat >= 0) & (mat <= 255)).all():
             raise DataError(f"{path}: CSV image values must lie in [0, 255]")
         return mat
@@ -213,7 +218,10 @@ def augment_images(
         noisy = intensities[end : end + extra]
         # the indices are in range; "clip" writes straight into `out`, where "raise" buffers
         np.take(images.intensities, idx[picks], axis=0, out=noisy, mode="clip")
-        noisy += rng.normal(0.0, noise_sd, size=noisy.shape)
+        step = max(1, GATHER_LIMIT // noisy.shape[1])  # bounded blocks, the same draws as one whole-class draw
+        for lo in range(0, extra, step):
+            block = noisy[lo : lo + step]
+            block += rng.normal(0.0, noise_sd, size=block.shape)
         np.clip(noisy, 0.0, 1.0, out=noisy)
         end += extra
         new_labels.extend([cls] * extra)
@@ -235,7 +243,7 @@ def augment_images(
 def write_dataset_csv(path: str | Path, dataset: DiscreteDataset | RealDataset) -> None:
     """Feature matrix with header X1..Xp,Y; integers for discrete data."""
     rows = (row + [y] for row, y in zip(dataset.features.tolist(), dataset.response.tolist()))
-    _write_csv(path, [f"X{j + 1}" for j in range(dataset.width)] + ["Y"], rows)
+    _write_csv(path, _column_names(range(dataset.width)) + ["Y"], rows)
 
 
 def read_dataset_csv(path: str | Path) -> RealDataset:
@@ -246,9 +254,7 @@ def read_dataset_csv(path: str | Path) -> RealDataset:
     if header is None:
         raise DataError(f"{path}: empty dataset file")
     has_y = header[-1].strip().upper() == "Y"
-    width = len(header) - 1 if has_y else len(header)
-    feats: list[list[float]] = []
-    resp: list[int] = []
+    rows: list[list[float]] = []
     for lineno, rec in records:
         if len(rec) != len(header):
             raise DataError(f"{path}:{lineno}: expected {len(header)} columns, got {len(rec)}")
@@ -256,20 +262,15 @@ def read_dataset_csv(path: str | Path) -> RealDataset:
             values = [float(v) for v in rec]
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: non-numeric value") from exc
-        if has_y:
-            feats.append(values[:-1])
-            y = values[-1]
-            if y not in (0.0, 1.0):
-                raise DataError(f"{path}:{lineno}: response must be 0 or 1, got {y}")
-            resp.append(int(y))
-        else:
-            feats.append(values)
-            resp.append(0)
-    if not feats:
+        if has_y and values[-1] not in (0.0, 1.0):
+            raise DataError(f"{path}:{lineno}: response must be 0 or 1, got {values[-1]}")
+        rows.append(values)
+    if not rows:
         raise DataError(f"{path}: dataset has no rows")
-    if width < 1:
+    if has_y and len(header) == 1:
         raise DataError(f"{path}: dataset has no feature columns")
-    return RealDataset(np.array(feats, dtype=np.float64), np.array(resp, dtype=np.int64))
+    table = np.array(rows, dtype=np.float64)
+    return RealDataset(table[:, : len(header) - has_y], table[:, -1] if has_y else np.zeros(len(table)))
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +306,7 @@ class ModelBundle:
                 raise DataError("bundle has window layers but no discretizer")
             if self.input_grid not in (None, layers[0].input_grid):
                 raise DataError(f"input grid {self.input_grid.rows}x{self.input_grid.cols} differs from layer 0's")
-            widths = [layer.n_windows for layer in layers]
-            width = sum(widths) if self.features_mode == "concat" else widths[-1]
+            width = _output_width([layer.n_windows for layer in layers], self.features_mode)
             if self.arch.input_width != width:
                 raise DataError(f"classifier input width {self.arch.input_width}, stack output {width}")
             if self.discretizer.width != layers[0].input_grid.size:

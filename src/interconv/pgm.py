@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,23 +10,13 @@ import numpy as np
 from .errors import DataError
 
 
+_TOKEN = re.compile(rb"#[^\n]*|([^\s#]+)")
+
+
 def _tokens(data: bytes):
-    """Yield (token, offset-past-token) for whitespace-separated tokens,
-    skipping '#' comments. Stops cleanly at end of input."""
-    i = 0
-    while True:
-        while i < len(data) and data[i : i + 1].isspace():
-            i += 1
-        if i < len(data) and data[i] == ord("#"):
-            while i < len(data) and data[i] != ord("\n"):
-                i += 1
-            continue
-        if i >= len(data):
-            return
-        start = i
-        while i < len(data) and not data[i : i + 1].isspace() and data[i] != ord("#"):
-            i += 1
-        yield data[start:i], i
+    """Lazily, (token, offset past it) for each run of bytes that are neither ASCII
+    whitespace nor '#'; a '#' starts a comment that runs to the end of its line."""
+    return ((m[1], m.end()) for m in _TOKEN.finditer(data) if m[1])
 
 
 def read_pgm(path: str | Path) -> np.ndarray:
@@ -33,10 +24,9 @@ def read_pgm(path: str | Path) -> np.ndarray:
     path = Path(path)
     data = path.read_bytes()
     tok = _tokens(data)
-    try:
-        magic, _ = next(tok)
-    except StopIteration:
-        raise DataError(f"{path}: empty PGM file") from None
+    magic, _ = next(tok, (None, 0))
+    if magic is None:
+        raise DataError(f"{path}: empty PGM file")
     if magic not in (b"P5", b"P2"):
         raise DataError(f"{path}: not a PGM file (magic {magic[:8]!r})")
     try:

@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .convlayer import FEATURE_MODES, ConvStack, _join_outputs, _walk, stack_layers, transform_stack
-from .core import GridShape, RealDataset, WindowSpec, _matrix, _write_csv, output_grid
+from .convlayer import FEATURE_MODES, ConvStack, _join_outputs, _output_width, _walk, stack_layers, transform_stack
+from .core import GridShape, RealDataset, WindowSpec, _column_names, _matrix, _write_csv, output_grid
 from .dataio import ModelBundle, save_bundle
 from .discretize import apply_discretizer, fit_discretizer, parse_discretizer_spec
 from .errors import ConfigError, DataError
@@ -99,8 +99,7 @@ def fit_shape(config: PipelineConfig, width: int) -> tuple[GridShape | None, Mlp
     grid = None
     if config.layers:
         grid = resolve_grid(config, width)
-        sizes = [g.size for g in geometry_chain(grid, config.layers)[1:]]
-        width = sum(sizes) if config.features_mode == "concat" else sizes[-1]
+        width = _output_width([g.size for g in geometry_chain(grid, config.layers)[1:]], config.features_mode)
     return grid, MlpArchitecture(width, config.hidden, config.output_units)
 
 
@@ -242,7 +241,7 @@ def write_windows_csv(path: str | Path, stack: ConvStack) -> None:
             b = f.window_index
             row = (b - 1) // out.cols + 1
             col = (b - 1) % out.cols + 1
-            names = " ".join(f"X{j + 1}" for j in f.selected_subset)
+            names = " ".join(_column_names(f.selected_subset))
             rows.append([li, b, row, col, names, len(f.cell_keys), f.iscore, f.train_auc])
     header = ["layer", "window", "out_row", "out_col", "variables", "n_cells", "iscore", "train_auc"]
     _write_csv(path, header, rows)
@@ -284,7 +283,7 @@ def format_report(bundle: ModelBundle, train_result: TrainResult | None = None) 
         for li, layer in enumerate(bundle.stack.layers, start=1):
             ranked = sorted(layer.features, key=lambda f: -f.iscore)[:10]
             for f in ranked:
-                names = " ".join(f"X{j + 1}" for j in f.selected_subset)
+                names = " ".join(_column_names(f.selected_subset))
                 lines.append(
                     f"  layer {li} window {f.window_index}: {names}"
                     f"  iscore {f.iscore:.4f}  train_auc {f.train_auc:.4f}"

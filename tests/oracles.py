@@ -15,9 +15,13 @@ geometry.
 array sections, parsing the file format by hand; `trace_report` prints a
 backward dropping trajectory. `stacked_intensities` and `stacked_augment`
 are the list-then-`np.vstack` forms that `load_images` and `augment_images`
-once had, reading PGM images with the package's `read_pgm`.
+once had, reading PGM images with the package's `read_pgm`. `split_tokens`
+cuts PGM bytes into header and raster tokens line by line, and
+`plain_dataset_csv` parses a dataset CSV row by row into parallel feature and
+response lists, as `read_dataset_csv` once did.
 """
 
+import csv
 import itertools
 import math
 import struct
@@ -483,3 +487,41 @@ def stacked_augment(images, target_per_class, noise_sd, seed):
         labels.append(np.full(extra, cls, dtype=np.int64))
         sources += [f"{images.sources[idx[p]]}#aug{k}" for k, p in enumerate(picks.tolist())]
     return np.vstack(rows), np.concatenate(labels), tuple(sources)
+
+
+def split_tokens(data):
+    """The tokens of PGM bytes: each line cut at its first '#', then split at ASCII whitespace."""
+    return [token for line in data.split(b"\n") for token in line.split(b"#")[0].split()]
+
+
+def plain_dataset_csv(path):
+    """(features, response) of a dataset CSV, or None where it must be refused:
+    not UTF-8, no header or no rows, a Y header alone, a row whose length is
+    not the header's, a value that is not a number, a feature that is not
+    finite, or a Y other than 0 or 1. Without a Y header the response is 0."""
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            records = [rec for rec in csv.reader(fh) if rec]
+    except UnicodeDecodeError:
+        return None
+    if len(records) < 2:
+        return None
+    header = records[0]
+    has_y = header[-1].strip().upper() == "Y"
+    width = len(header) - 1 if has_y else len(header)
+    features, response = [], []
+    for rec in records[1:]:
+        if len(rec) != len(header):
+            return None
+        try:
+            values = [float(v) for v in rec]
+        except ValueError:
+            return None
+        y = values[-1] if has_y else 0.0
+        if y not in (0.0, 1.0) or not all(math.isfinite(v) for v in values[:width]):
+            return None
+        features.append(values[:width])
+        response.append(int(y))
+    if width < 1:
+        return None
+    return np.array(features, dtype=np.float64), np.array(response, dtype=np.int64)

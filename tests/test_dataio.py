@@ -41,6 +41,7 @@ from interconv import (
     write_dataset_csv,
     write_pgm,
 )
+from interconv import dataio
 from interconv.cli import main
 from interconv.convlayer import LAYER_ARRAYS
 
@@ -119,6 +120,15 @@ def test_csv_image_values_outside_0_255_are_refused(tmp_path, value):
     manifest = tmp_path / "m.csv"
     manifest.write_text("a.csv,0\n")
     with pytest.raises(DataError, match=re.escape("a.csv: CSV image values must lie in [0, 255]")):
+        load_images(manifest)
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "# no pixels\n#\n"], ids=["empty", "blank lines", "comments"])
+def test_a_csv_image_with_no_values_is_refused(tmp_path, text):
+    (tmp_path / "a.csv").write_text(text)
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("a.csv,0\n")
+    with pytest.raises(DataError, match=re.escape("a.csv: CSV image has no values")):
         load_images(manifest)
 
 
@@ -206,9 +216,17 @@ def test_augment_zero_noise_duplicates(tmp_path):
         assert np.array_equal(grown.intensities[i], images.intensities[j])
 
 
-@pytest.mark.parametrize("noise_sd", [0.0, 0.05])
-def test_augment_fills_what_stacked_copies_give(tmp_path, noise_sd):
-    images = load_images(make_corpus(tmp_path, n0=5, n1=2, seed=3))
+# In the third case class 0 already holds the target, so only class 1 gains
+# copies; the fourth draws the noise of its 8x8 images in blocks of 3 rows.
+@pytest.mark.parametrize(
+    "noise_sd, n0, limit",
+    [(0.0, 5, None), (0.05, 5, None), (0.05, 9, None), (0.05, 5, 3 * 64)],
+    ids=["0.0", "0.05", "0.05-class-0-full", "0.05-blocks-of-3-rows"],
+)
+def test_augment_fills_what_stacked_copies_give(tmp_path, monkeypatch, noise_sd, n0, limit):
+    if limit is not None:
+        monkeypatch.setattr(dataio, "GATHER_LIMIT", limit)
+    images = load_images(make_corpus(tmp_path, n0=n0, n1=2, seed=3))
     grown = augment_images(images, target_per_class=9, noise_sd=noise_sd, seed=11)
     intensities, labels, sources = stacked_augment(images, 9, noise_sd, seed=11)
     assert grown.intensities.tobytes() == intensities.tobytes()

@@ -10,7 +10,9 @@ Text inputs: mutated PGM images and dataset CSVs either load or are refused
 with an `InterconvError`, through the readers and through `interconv
 predict --data`, which exits 2 or 3 with no traceback and no output
 directory. Each case flips, inserts or cuts bytes, or rewrites one header
-token, sample, value or line. Six-image corpora of PGM and CSV images go
+token, sample, value or line. The tokens `read_pgm` reads match
+`split_tokens`, and each dataset CSV read matches `plain_dataset_csv`, both
+from `oracles`. Six-image corpora of PGM and CSV images go
 through `load_images` and `interconv fit --set images=` the same way, with a
 manifest line also pointed at a missing file, another image or a bad label.
 
@@ -28,7 +30,7 @@ import struct
 
 import numpy as np
 import pytest
-from oracles import _rewrite_sections
+from oracles import _rewrite_sections, plain_dataset_csv, split_tokens
 
 from interconv import (
     DataError,
@@ -46,7 +48,7 @@ from interconv import (
 )
 from interconv.cli import DEFAULTS, main
 from interconv.dataio import load_images, read_dataset_csv
-from interconv.pgm import read_pgm
+from interconv.pgm import _tokens, read_pgm
 from interconv.pipeline import layer_maps
 
 CASES = 600
@@ -280,6 +282,45 @@ def test_mutated_pgm_images_load_or_are_refused(tmp_path):
     assert 0 < loaded < TEXT_CASES
 
 
+SPECIAL_BYTES = [b"#", b"\v", b"\f", b"\r", b"\x1c", b"\xa0"]  # a comment, ASCII whitespace, and two that are not
+
+
+def test_pgm_tokens_are_the_lines_cut_at_comments_and_split(tmp_path):
+    """Over the mutated PGM images, and each again with comment, whitespace
+    and non-whitespace bytes inserted: the tokens `read_pgm` reads are those
+    of `split_tokens`, each ending at its offset."""
+    rng, extra = random.Random("pgm"), random.Random("pgm special bytes")
+    for _ in range(TEXT_CASES):
+        data = mutated_pgm(rng)
+        special = data
+        for _ in range(extra.randint(1, 3)):
+            at = extra.randrange(len(special) + 1)
+            special = special[:at] + extra.choice(SPECIAL_BYTES) + special[at:]
+        for case in (data, special):
+            pairs = list(_tokens(case))
+            assert [token for token, _ in pairs] == split_tokens(case), case
+            assert all(case[end - len(token) : end] == token for token, end in pairs), case
+
+
+def test_loaded_dataset_csvs_match_a_plain_parse(tmp_path):
+    """Every mutated dataset CSV that `read_dataset_csv` loads gives, bitwise,
+    the arrays of `plain_dataset_csv`, and every one it refuses, the plain
+    parse refuses too."""
+    rng = random.Random("csv")
+    path, seed = tmp_path / "data.csv", csv_seed()
+    for _ in range(TEXT_CASES):
+        path.write_bytes(mutated_csv(rng, seed))
+        expected = plain_dataset_csv(path)
+        try:
+            data = read_dataset_csv(path)
+        except DataError:
+            assert expected is None, path.read_bytes()
+            continue
+        assert expected is not None, path.read_bytes()
+        for got, want in zip((data.features, data.response), expected):
+            assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_mutated_dataset_csvs_load_or_are_refused(tmp_path):
     rng = random.Random("csv")
     path, seed = tmp_path / "data.csv", csv_seed()
@@ -352,12 +393,26 @@ def with_csv_pixel(value):
     return lambda m: (m.parent / "im3.csv").write_text(f"1,2,3\n4,{value},6\n7,8,9\n")
 
 
+def csv_image(k, text):
+    """The k-th image replaced by a CSV image file holding `text`."""
+
+    def edit(manifest):
+        (manifest.parent / f"new{k}.csv").write_text(text)
+        with_line(manifest, k, f"new{k}.csv,{k // 3}")
+
+    return edit
+
+
 NAMED_CORPORA = {
     "second image 4x3": lambda m: (m.parent / "im1.csv").write_text("1,2,3\n" * 4),
     "missing file mid-corpus": lambda m: with_line(m, 3, "missing.pgm,1"),
     "CSV pixel nan": with_csv_pixel("nan"),
     "CSV pixel 256": with_csv_pixel("256"),
     "P5 maxval 65535": lambda m: (m.parent / "im4.pgm").write_bytes(b"P5\n3 3\n65535\n" + bytes(18)),
+    # CSV images with no values, which the first image would leave with a 0x1 grid
+    "empty CSV image first": csv_image(0, ""),
+    "blank-line CSV image": csv_image(3, "\n\n\n"),
+    "comment-only CSV image": csv_image(5, "# no pixels\n#\n"),
 }
 
 
