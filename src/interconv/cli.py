@@ -274,6 +274,9 @@ def _load_fit_data(raw: dict[str, str], image_keys: tuple[int, int, float], seed
         heldout = None
         if test_per_class != 0:
             images, heldout = dataio.split_images(images, test_per_class, seed)
+            classes = np.flatnonzero(np.bincount(heldout.labels))
+            if len(classes) < 2:  # its ROC could not be drawn once the fit is done
+                raise DataError(f"every held-out image is of class {classes[0]}; evaluation needs both classes")
         if target > 0:
             images = dataio.augment_images(images, target, noise_sd=noise_sd, seed=seed)
         return images.to_real_dataset(), heldout
@@ -289,7 +292,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         raise ConfigError("the train subcommand trains on flat features; use fit for window layers")
     data, heldout = _load_fit_data(raw, image_keys, config.hyper.seed)
     val_data = dataio.read_dataset_csv(raw["val"]) if raw["val"] else None
-    fit_shape(config, data.width)  # the grid chain and the classifier, before any output
+    fit_shape(config, data.width, val_data)  # the validation width, grid chain and classifier, before any output
     out = _out_dir(args)
     write_resolved(out, raw)
     bundle, report = fit_pipeline(config, data, val_data)

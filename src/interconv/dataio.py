@@ -162,7 +162,8 @@ def split_images(images: ImageSet, test_per_class: int, seed: int) -> tuple[Imag
         raise ConfigError(f"test_per_class must be >= 0, got {test_per_class}")
     rng = np.random.default_rng(seed)
     test_mask = np.zeros(images.n, dtype=bool)
-    for cls in sorted(np.unique(images.labels).tolist()):
+    # the classes by counts: `np.unique` would import `numpy.ma` on a fresh process's first call
+    for cls in np.flatnonzero(np.bincount(images.labels)).tolist():
         idx = np.flatnonzero(images.labels == cls)
         if len(idx) < test_per_class:
             raise DataError(
@@ -195,7 +196,8 @@ def augment_images(
     """
     if not 0.0 <= noise_sd < np.inf:
         raise DataError(f"noise sd must be a finite number >= 0, got {noise_sd}")
-    classes = {cls: np.flatnonzero(images.labels == cls) for cls in sorted(np.unique(images.labels).tolist())}
+    # by counts, as `split_images` takes them
+    classes = {cls: np.flatnonzero(images.labels == cls) for cls in np.flatnonzero(np.bincount(images.labels)).tolist()}
     for cls, idx in classes.items():
         if len(idx) > target_per_class:
             raise DataError(

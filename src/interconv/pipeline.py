@@ -9,16 +9,17 @@ CLI alike, before any fitting or output starts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .convlayer import FEATURE_MODES, ConvStack, _join_outputs, _output_width, _walk, stack_layers, transform_stack
+from .convlayer import FEATURE_MODES, ConvStack, FittedConvLayer, _join_outputs, _output_width, _walk, stack_layers
 from .core import GridShape, RealDataset, WindowSpec, _column_names, _matrix, _write_csv, output_grid
 from .dataio import ModelBundle, save_bundle
 from .discretize import apply_discretizer, fit_discretizer, parse_discretizer_spec
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, GeometryError
+from .iscore import MAX_SUBSET
 from .metrics import RocCurve, roc_curve, sensitivity, specificity
 from .nn import (
     MlpArchitecture,
@@ -26,6 +27,7 @@ from .nn import (
     TrainResult,
     _as_matrix,
     _forward_parts,
+    init_model,
     param_count,
     train,
     write_loss_csv,
@@ -84,18 +86,22 @@ def resolve_grid(config: PipelineConfig, width: int) -> GridShape:
 def geometry_chain(grid: GridShape, layers: tuple[WindowSpec, ...]) -> list[GridShape]:
     """Grids produced by each layer in turn, starting with the input grid.
 
-    Raises GeometryError before any fitting if a window does not fit.
+    Raises GeometryError before any fitting if a window does not fit or holds over `MAX_SUBSET` pixels.
     """
     chain = [grid]
     for spec in layers:
         chain.append(output_grid(chain[-1], spec))
+        if spec.window**2 > MAX_SUBSET:
+            raise GeometryError(f"window {spec.window}x{spec.window} exceeds the subset limit of {MAX_SUBSET} pixels")
     return chain
 
 
-def fit_shape(config: PipelineConfig, width: int) -> tuple[GridShape | None, MlpArchitecture]:
-    """The input grid (None without window layers) and the classifier that a fit
-    of `config` trains on rows of `width` columns, whose input is the stack's
-    output width; refuses a grid chain or a classifier that cannot be built."""
+def fit_shape(config: PipelineConfig, width: int, val_data=None) -> tuple[GridShape | None, MlpArchitecture]:
+    """The input grid (None without window layers) and the classifier, on the stack's
+    output width, that a fit of `config` trains on rows of `width` columns; refuses a
+    `val_data` dataset of another width, and a grid chain or a classifier that cannot be built."""
+    if val_data is not None and val_data.width != width:
+        raise DataError("validation data width does not match training data")
     grid = None
     if config.layers:
         grid = resolve_grid(config, width)
@@ -112,9 +118,7 @@ def fit_pipeline(
     config: PipelineConfig, data: RealDataset, val_data: RealDataset | None = None
 ) -> tuple[ModelBundle, FitReport]:
     """Fit the full pipeline on `data` and return the bundle plus a report."""
-    if val_data is not None and val_data.width != data.width:
-        raise DataError("validation data width does not match training data")
-    grid, arch = fit_shape(config, data.width)
+    grid, arch = fit_shape(config, data.width, val_data)
     if config.layers:
         disc = fit_discretizer(data, config.discretizer)
         ddata = apply_discretizer(disc, data)
@@ -122,27 +126,23 @@ def fit_pipeline(
             ddata, grid, list(config.layers), rediscretize=config.rediscretizer
         )
         features = RealDataset(_join_outputs([o.features for o in outputs], config.features_mode), data.response)
-        val_features = None
-        if val_data is not None:
-            val_d = apply_discretizer(disc, val_data)
-            val_features = transform_stack(stack, val_d, mode=config.features_mode)
     else:
         disc = None
         stack = None
         features = data
-        val_features = val_data
-
-    result = train(arch, features, config.hyper, val_features)
     bundle = ModelBundle(
         input_grid=grid,
         discretizer=disc,
         stack=stack,
         features_mode=config.features_mode,
         arch=arch,
-        weights=result.model.weights,
+        weights=init_model(arch, config.hyper).weights,  # those `train` starts from
         hyper=config.hyper,
     )
-    return bundle, FitReport(train_result=result)
+    if val_data is not None:  # scored as the bundle serves new rows
+        val_data = RealDataset(bundle_features(bundle, val_data.features), val_data.response)
+    result = train(arch, features, config.hyper, val_data)
+    return replace(bundle, weights=result.model.weights), FitReport(train_result=result)
 
 
 def _served(bundle: ModelBundle, features: np.ndarray, every_window=False) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -232,17 +232,18 @@ def preset_config(name: str, grid: GridShape = GridShape(128, 128)) -> PipelineC
 # report files
 
 
+def _window_rows(layer: FittedConvLayer) -> list[tuple]:
+    """Per window, from the layer's flat arrays: its 1-based index, output row and column,
+    selected variables by their 1-based names, occupied cells, I-score and training AUC."""
+    subsets, ends, cols = layer.subset_flat.tolist(), np.cumsum(layer.subset_len).tolist(), layer.output_grid.cols
+    names = [" ".join(_column_names(subsets[end - n : end])) for n, end in zip(layer.subset_len.tolist(), ends)]
+    per_window = zip(names, layer.ncells.tolist(), layer.iscore.tolist(), layer.auc.tolist())
+    return [(w + 1, w // cols + 1, w % cols + 1, *rest) for w, rest in enumerate(per_window)]
+
+
 def write_windows_csv(path: str | Path, stack: ConvStack) -> None:
     """Per-window fit table: position, selected variables (1-based), score, AUC."""
-    rows = []
-    for li, layer in enumerate(stack.layers, start=1):
-        out = layer.output_grid
-        for f in layer.features:
-            b = f.window_index
-            row = (b - 1) // out.cols + 1
-            col = (b - 1) % out.cols + 1
-            names = " ".join(_column_names(f.selected_subset))
-            rows.append([li, b, row, col, names, len(f.cell_keys), f.iscore, f.train_auc])
+    rows = [[li, *row] for li, layer in enumerate(stack.layers, start=1) for row in _window_rows(layer)]
     header = ["layer", "window", "out_row", "out_col", "variables", "n_cells", "iscore", "train_auc"]
     _write_csv(path, header, rows)
 
@@ -281,12 +282,12 @@ def format_report(bundle: ModelBundle, train_result: TrainResult | None = None) 
         lines.append("")
         lines.append("strongest windows (by influence score):")
         for li, layer in enumerate(bundle.stack.layers, start=1):
-            ranked = sorted(layer.features, key=lambda f: -f.iscore)[:10]
-            for f in ranked:
-                names = " ".join(_column_names(f.selected_subset))
+            windows = _window_rows(layer)
+            for w in np.argsort(-layer.iscore, kind="stable")[:10].tolist():
+                b, _, _, names, _, iscore, train_auc = windows[w]
                 lines.append(
-                    f"  layer {li} window {f.window_index}: {names}"
-                    f"  iscore {f.iscore:.4f}  train_auc {f.train_auc:.4f}"
+                    f"  layer {li} window {b}: {names}"
+                    f"  iscore {iscore:.4f}  train_auc {train_auc:.4f}"
                 )
     return "\n".join(lines) + "\n"
 

@@ -18,7 +18,11 @@ are the list-then-`np.vstack` forms that `load_images` and `augment_images`
 once had, reading PGM images with the package's `read_pgm`. `split_tokens`
 cuts PGM bytes into header and raster tokens line by line, and
 `plain_dataset_csv` parses a dataset CSV row by row into parallel feature and
-response lists, as `read_dataset_csv` once did.
+response lists, as `read_dataset_csv` once did. `staged_val_losses` scores a
+fit's validation rows through the checked stack walk, `apply_discretizer` then
+`transform_stack`, as `fit_pipeline` once did, and `record_reports` writes the
+rows of `windows.csv` and the report's strongest windows from each layer's
+per-window records.
 """
 
 import csv
@@ -35,18 +39,24 @@ from interconv import (
     DiscreteDataset,
     GridShape,
     MlpArchitecture,
+    RealDataset,
     UndefinedMetricError,
+    apply_discretizer,
     auc,
     backward_drop,
     bce_loss,
+    fit_discretizer,
     forward,
     init_model,
     partition_stats,
     preset_config,
     read_pgm,
+    stack_layers,
+    train,
+    transform_stack,
 )
 from interconv.nn import MlpModel, _as_matrix, _forward_parts, _gradients, _rmsprop_update, _targets
-from interconv.pipeline import geometry_chain
+from interconv.pipeline import fit_shape, geometry_chain
 
 
 def pairwise_auc(y_true, scores):
@@ -525,3 +535,38 @@ def plain_dataset_csv(path):
     if width < 1:
         return None
     return np.array(features, dtype=np.float64), np.array(response, dtype=np.int64)
+
+
+def staged_val_losses(config, data, val_data):
+    """The validation losses of `fit_pipeline(config, data, val_data)`, with the
+    validation rows binarized by `apply_discretizer` and walked through every
+    window of every layer by `transform_stack`."""
+    grid, arch = fit_shape(config, data.width)
+    if not config.layers:
+        return train(arch, data, config.hyper, val_data).val_losses
+    disc = fit_discretizer(data, config.discretizer)
+    stack, outputs = stack_layers(apply_discretizer(disc, data), grid, list(config.layers),
+                                  rediscretize=config.rediscretizer)
+    joined = outputs[-1].features if config.features_mode == "last" else np.hstack([o.features for o in outputs])
+    val = transform_stack(stack, apply_discretizer(disc, val_data), mode=config.features_mode)
+    return train(arch, RealDataset(joined, data.response), config.hyper, val).val_losses
+
+
+def record_reports(stack):
+    """(rows of `windows.csv` as text, the report's strongest-window lines) from
+    each layer's `WindowFeature` records: the report takes a layer's ten highest
+    I-scores by a stable sort, so tied windows keep their window order."""
+    rows, lines = [], []
+    for li, layer in enumerate(stack.layers, start=1):
+        cols = layer.output_grid.cols
+        for f in layer.features:
+            names = " ".join(f"X{j + 1}" for j in f.selected_subset)
+            b = f.window_index
+            fields = [li, b, (b - 1) // cols + 1, (b - 1) % cols + 1, names, len(f.cell_keys), f.iscore, f.train_auc]
+            rows.append([str(v) for v in fields])
+        for f in sorted(layer.features, key=lambda f: -f.iscore)[:10]:
+            names = " ".join(f"X{j + 1}" for j in f.selected_subset)
+            lines.append(
+                f"  layer {li} window {f.window_index}: {names}  iscore {f.iscore:.4f}  train_auc {f.train_auc:.4f}"
+            )
+    return rows, lines

@@ -5,7 +5,9 @@ the response over rows sharing the same selected-cell membership, recomputed
 here with plain dictionaries.
 """
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +37,7 @@ from interconv import (
     transform,
     transform_stack,
 )
-from interconv.pipeline import layer_maps
+from interconv.pipeline import format_report, layer_maps, write_fit_outputs
 
 
 def cell_mean_oracle(train, subset, rows):
@@ -421,13 +423,13 @@ def test_dense_transform_is_the_same_in_any_chunking(monkeypatch):
 
 
 @pytest.mark.parametrize("table_limit", [convlayer.TABLE_LIMIT, 0], ids=["in-cap", "over-cap"])
-def test_no_serving_path_reads_per_window_records(monkeypatch, table_limit):
-    """`transform`, `stack_outputs`, `predict_bundle` and `layer_maps` build
-    their stages from a layer's flat arrays, dense or per window."""
+def test_no_serving_path_reads_per_window_records(monkeypatch, tmp_path, table_limit):
+    """`fit_pipeline` with validation rows, `write_fit_outputs`, `format_report`,
+    `transform`, `stack_outputs`, `predict_bundle` and `layer_maps` read a
+    layer's flat arrays, and serve from stages built from them, dense or per window."""
     x = binary_dataset(60, 36, seed=23)
     config = PipelineConfig(discretizer="global:0.5", layers=(WindowSpec(3, 1), WindowSpec(1, 2)),
                             hyper=TrainingHyper(epochs=2))
-    bundle, _ = fit_pipeline(config, RealDataset(x.features.astype(np.float64), x.response))
     fresh = binary_dataset(40, 36, seed=24)
 
     def per_window(self):
@@ -435,6 +437,11 @@ def test_no_serving_path_reads_per_window_records(monkeypatch, table_limit):
 
     monkeypatch.setattr(convlayer.FittedConvLayer, "features", property(per_window))
     monkeypatch.setattr(convlayer, "TABLE_LIMIT", table_limit)
+    real = [RealDataset(d.features.astype(np.float64), d.response) for d in (x, fresh)]
+    bundle, report = fit_pipeline(config, *real)
+    assert len(report.train_result.val_losses) == 2
+    assert "strongest windows" in format_report(bundle, report.train_result)
+    assert write_fit_outputs(tmp_path, bundle, report)["windows"].read_text().count("\n") == 1 + 16 + 4
     layer = bundle.stack.layers[0]
     assert transform(layer, fresh).features.shape == (40, layer.n_windows)
     assert [o.features.shape[1] for o in stack_outputs(bundle.stack, fresh)] == [16, 4]
@@ -443,6 +450,27 @@ def test_no_serving_path_reads_per_window_records(monkeypatch, table_limit):
     assert [m.shape for m in layer_maps(bundle, raw)] == [(40, 4, 4), (40, 2, 2)]
     plans = (bundle.stack._full_plan, bundle.stack._read_plan)
     assert all((lookup is None) == (table_limit == 0) for plan in plans for lookup, _ in plan[0])
+
+
+def test_no_module_uses_the_per_window_forms():
+    """`transform_stack` and `WindowFeature` stay public for library callers, but
+    no module of the package names either outside its own definition, where the
+    records are built only by `FittedConvLayer.features` (which the test above
+    keeps every path of the package from reading)."""
+    package = Path(convlayer.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue  # the exports
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        records = [
+            f for c in ast.walk(tree) if isinstance(c, ast.ClassDef) and c.name == "FittedConvLayer"
+            for f in c.body if isinstance(f, ast.FunctionDef) and f.name == "features"
+        ]
+        inside = {id(n) for f in records for n in ast.walk(f)}
+        named = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and id(n) not in inside}
+        named |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        named |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+        assert not {"transform_stack", "WindowFeature"} & named, path.name
 
 
 def dense_lookup(layer):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import preset_architecture, reference_pipeline
+from oracles import preset_architecture, record_reports, reference_pipeline, staged_val_losses
 
 from interconv import convlayer, discretize, pipeline
 from interconv import (
@@ -36,9 +36,11 @@ from interconv import (
     predict_bundle,
     preset_config,
     save_bundle,
+    write_pgm,
 )
 from interconv.convlayer import LAYER_ARRAYS
 from interconv.pipeline import (
+    fit_shape,
     format_report,
     geometry_chain,
     layer_maps,
@@ -225,6 +227,17 @@ def test_fit_pipeline_checks_every_window_before_any_work(monkeypatch):
         fit_pipeline(config, synthetic_real())
 
 
+def test_a_window_past_the_subset_limit_is_a_geometry_error(monkeypatch):
+    """A 6x6 window holds 36 pixels, over the 25 backward dropping starts
+    from: the geometry check refuses it before any fitting."""
+    monkeypatch.setattr(pipeline, "fit_discretizer", None)
+    config = small_config(layers=(WindowSpec(6, 1),))
+    for check in (lambda: fit_shape(config, 36), lambda: fit_pipeline(config, synthetic_real())):
+        with pytest.raises(GeometryError, match="window 6x6 exceeds the subset limit of 25 pixels"):
+            check()
+    assert geometry_chain(GridShape(6, 6), (WindowSpec(5, 1),))[-1] == GridShape(2, 2)
+
+
 def test_evaluate_bundle_matches_metrics():
     data = synthetic_real(seed=4)
     bundle, _ = fit_pipeline(small_config(), data)
@@ -320,6 +333,26 @@ def test_windows_csv_rows_match_their_layers(tmp_path, one_class):
             assert np.float64(row["train_auc"]).tobytes() == layer.auc[b].tobytes()
         assert np.isnan(layer.auc).all() == one_class
     assert next(rows, None) is None
+
+
+def test_reports_match_the_per_window_records(tmp_path):
+    """`windows.csv` and the report's strongest windows, read from the flat
+    arrays, equal `oracles.record_reports` over the per-window records, on a fit
+    whose windows tie: each grid row repeats the same six columns, so windows
+    in one grid column select the same cells and score alike."""
+    gen = np.random.default_rng(12)
+    y = gen.integers(0, 2, size=120)
+    base = (gen.random((120, 6)) + 0.3 * y[:, np.newaxis] > 0.6).astype(np.float64)
+    config = small_config(layers=(WindowSpec(2, 1), WindowSpec(2, 1)))
+    bundle, report = fit_pipeline(config, RealDataset(np.tile(base, (1, 6)), y))
+    rows, lines = record_reports(bundle.stack)
+    for layer in bundle.stack.layers:
+        top = np.sort(layer.iscore)[-10:]
+        assert len(set(top.tolist())) < len(top)  # ties among the windows reported
+    with open(write_fit_outputs(tmp_path, bundle, report)["windows"], newline="", encoding="utf-8") as fh:
+        assert list(csv.reader(fh))[1:] == rows
+    text = format_report(bundle, report.train_result)
+    assert text.split("strongest windows (by influence score):\n")[1].splitlines() == lines
 
 
 def same_bytes(a, b):
@@ -558,6 +591,40 @@ def test_served_walk_matches_the_checked_stack(mode, rows, case, seed):
             assert all(c < e for c, e in zip(coded[:-1], every))
 
 
+# per case: the window stack, the feature mode, and whether the read plan's merge is refused
+VAL_CASES = {
+    "flat": ((), "last", False),
+    "last-merged": (TWO_LAYERS, "last", False),
+    "last-merge-refused": (TWO_LAYERS, "last", True),
+    "concat": (TWO_LAYERS, "concat", False),
+}
+
+
+@pytest.mark.parametrize("case", VAL_CASES, ids=list(VAL_CASES))
+def test_validation_losses_match_the_staged_walk(monkeypatch, case):
+    """Validation rows scored through the fitted bundle give losses bitwise
+    equal to `oracles.staged_val_losses`, which walks them through every window
+    of every layer. A "last" fit builds only the read plan its bundle serves
+    by, merged or not, and a "concat" fit only the every-window plan."""
+    layers, mode, refused = VAL_CASES[case]
+    gen = np.random.default_rng(13)
+    y, val_y = gen.integers(0, 2, size=80), gen.integers(0, 2, size=50)
+    x = gen.integers(0, 5, size=(80, 36)) / 4 + 0.1 * y[:, np.newaxis]
+    val = RealDataset(gen.integers(0, 5, size=(50, 36)) / 4 + 0.1 * val_y[:, np.newaxis], val_y)
+    config = small_config(discretizer="median", layers=layers, features_mode=mode)
+    expected = staged_val_losses(config, RealDataset(x, y), val)
+    if refused:
+        monkeypatch.setattr(convlayer, "_merge", lambda *stages: None)
+    bundle, report = fit_pipeline(config, RealDataset(x, y), val)
+    assert len(expected) == 5
+    assert same_bytes(report.train_result.val_losses, expected)
+    if layers:
+        built = {"_full_plan", "_read_plan"} & set(vars(bundle.stack))
+        assert built == {"_full_plan" if mode == "concat" else "_read_plan"}
+    if mode == "last" and layers:
+        assert len(bundle.stack._read_plan[0]) == (2 if refused else 1)
+
+
 def test_a_model3_bundle_serves_through_one_stage():
     """Preset model3's two layers fold into one dense stage of the read plan,
     and it serves bitwise what the staged walk does."""
@@ -570,20 +637,44 @@ def test_a_model3_bundle_serves_through_one_stage():
     assert same_bytes(predict_bundle(bundle, rows), forward(bundle, joined.features))
 
 
-# argv: the bundle, then the directory that holds the package
-FIRST_CALL = (
-    "import sys; sys.path.insert(0, sys.argv[2]); import numpy as np; from interconv import load_bundle, predict_bundle; "
-    "predict_bundle(load_bundle(sys.argv[1]), np.full((1, 256), 0.5)); print('numpy.ma' in sys.modules)"
-)
-
-
-def test_a_fresh_process_predicts_without_importing_numpy_ma(tmp_path):
-    """Loading a two-layer bundle and scoring one row in a fresh interpreter
-    does not import `numpy.ma`, which once cost most of the first call."""
+def saved_model3(tmp_path):
     save_bundle(model3_bundle(), tmp_path / "model.bundle")
+    return tmp_path / "model.bundle"
+
+
+def six_image_manifest(tmp_path):
+    """Six 4x4 PGM images, three of each class."""
+    gen = np.random.default_rng(14)
+    for i in range(6):
+        write_pgm(tmp_path / f"im{i}.pgm", gen.random((4, 4)))
+    (tmp_path / "m.csv").write_text("path,label\n" + "".join(f"im{i}.pgm,{i % 2}\n" for i in range(6)))
+    return tmp_path / "m.csv"
+
+
+# per case: what the first argv names, then the calls; the second argv is the
+# directory that holds the package
+FIRST_CALLS = {
+    "predict": (saved_model3, (
+        "import numpy as np; from interconv import load_bundle, predict_bundle; "
+        "predict_bundle(load_bundle(sys.argv[1]), np.full((1, 256), 0.5))"
+    )),
+    "split-and-augment": (six_image_manifest, (
+        "from interconv import augment_images, load_images, split_images; "
+        "augment_images(split_images(load_images(sys.argv[1]), 1, 0)[0], 4)"
+    )),
+}
+
+
+@pytest.mark.parametrize("case", FIRST_CALLS, ids=list(FIRST_CALLS))
+def test_a_fresh_process_predicts_without_importing_numpy_ma(tmp_path, case):
+    """Loading a two-layer bundle and scoring one row in a fresh interpreter
+    does not import `numpy.ma`, which once cost most of the first call; nor
+    do loading, splitting and augmenting an image corpus."""
+    make, calls = FIRST_CALLS[case]
     src = Path(pipeline.__file__).resolve().parent.parent
+    code = f"import sys; sys.path.insert(0, sys.argv[2]); {calls}; print('numpy.ma' in sys.modules)"
     done = subprocess.run(
-        [sys.executable, "-c", FIRST_CALL, str(tmp_path / "model.bundle"), str(src)],
+        [sys.executable, "-c", code, str(make(tmp_path)), str(src)],
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0 and done.stdout.split() == ["False"], done.stderr[-2000:]

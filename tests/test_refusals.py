@@ -35,6 +35,7 @@ from interconv import (
     roc_curve,
     save_bundle,
     transform,
+    write_pgm,
 )
 from interconv.cli import main
 
@@ -255,6 +256,59 @@ def test_fit_refuses_a_p2_sample_past_int64_and_exits_3(tmp_path, capsys):
     assert main(["fit", "--out", str(out), "--set", f"images={tmp_path / 'm.csv'}"]) == 3
     captured = capsys.readouterr()
     assert f"{tmp_path / 'b.pgm'}: pixel exceeds declared maxval 255" in captured.err
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
+def write_table(path, width, rows=12):
+    """A dataset CSV of `width` random columns and an alternating Y."""
+    gen = np.random.default_rng(width)
+    lines = [",".join([f"X{j + 1}" for j in range(width)] + ["Y"])]
+    lines += [",".join([*map(str, gen.random(width).tolist()), str(i % 2)]) for i in range(rows)]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def one_class_images(tmp_path):
+    """A manifest of six 6x6 PGM images, all of class 1."""
+    gen = np.random.default_rng(6)
+    for i in range(6):
+        write_pgm(tmp_path / f"im{i}.pgm", gen.random((6, 6)))
+    (tmp_path / "m.csv").write_text("path,label\n" + "".join(f"im{i}.pgm,1\n" for i in range(6)))
+
+
+# per case: the fit settings, with {tmp} for the test's directory where t36.csv
+# and t16.csv hold 36 and 16 columns and m.csv lists six class-1 images; the
+# message; the exit code. Each is refused before the output directory exists.
+FIT_BEFORE_OUTPUT = {
+    "window past the subset limit": (
+        ["train={tmp}/t36.csv", "layers=6:1", "discretizer=global:0.5"],
+        "window 6x6 exceeds the subset limit of 25 pixels", 2,
+    ),
+    "validation rows of another width": (
+        ["train={tmp}/t36.csv", "val={tmp}/t16.csv", "layers=2:1"],
+        "validation data width does not match training data", 3,
+    ),
+    "one-class held-out split": (
+        ["images={tmp}/m.csv", "test_per_class=2", "layers=2:1"],
+        "every held-out image is of class 1; evaluation needs both classes", 3,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(FIT_BEFORE_OUTPUT))
+def test_fit_refuses_before_any_output(tmp_path, capsys, case):
+    settings, message, code = FIT_BEFORE_OUTPUT[case]
+    write_table(tmp_path / "t36.csv", 36)
+    write_table(tmp_path / "t16.csv", 16)
+    one_class_images(tmp_path)
+    out = tmp_path / "out"
+    argv = ["fit", "--out", str(out)]
+    for setting in settings:
+        argv += ["--set", setting.format(tmp=tmp_path)]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert message in captured.err
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert not out.exists()
