@@ -112,6 +112,9 @@ class FittedConvLayer:
             raise DataError(f"{n} windows where its geometry gives {self.output_grid.size}")
         if ((self.subset_flat < 0) | (self.subset_flat >= size)).any():
             raise DataError(f"a subset index lies outside [0, {size})")
+        owner = np.repeat(np.arange(n), self.subset_len)  # a repeat would read one column twice
+        if not ((np.diff(self.subset_flat) > 0) | (np.diff(owner) > 0)).all():
+            raise DataError("subset indices are not strictly ascending within a window")
         if len(self.level_counts) != size:
             raise DataError(f"{len(self.level_counts)} level counts for {size} columns")
         if (self.level_counts < 2).any():

@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .convlayer import FEATURE_MODES, ConvStack, FittedConvLayer, _join_outputs, _output_width, _walk, stack_layers
+from .convlayer import FEATURE_MODES, ConvStack, FittedConvLayer, _join_outputs, _output_width, _walk
+from .convlayer import stack_layers, stack_outputs
 from .core import GridShape, RealDataset, WindowSpec, _column_names, _matrix, _write_csv, output_grid
 from .dataio import ModelBundle, save_bundle
 from .discretize import apply_discretizer, fit_discretizer, parse_discretizer_spec
@@ -145,23 +146,16 @@ def fit_pipeline(
     return replace(bundle, weights=result.model.weights), FitReport(train_result=result)
 
 
-def _served(bundle: ModelBundle, features: np.ndarray, every_window=False) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The classifier's input and each stage's coded windows (every window of each layer, or for a
-    "last" bundle the stages of its read plan; none without window layers) for raw rows, checked
-    once, here, with the messages the checked forms give: non-empty 2-d, finite, the bundle's width."""
+def bundle_features(bundle: ModelBundle, features: np.ndarray) -> np.ndarray:
+    """The classifier's input for raw rows, checked once, here, with the checked forms' messages (non-empty
+    2-d, finite, the bundle's width), binarized, and walked by a "last" bundle's read plan or every window."""
     x = _matrix(features, np.float64, finite=True)
     if bundle.stack is None:
         # C order, as a dataset holds rows: a matmul's last bits can follow the layout
-        return _as_matrix(np.ascontiguousarray(x), bundle.arch.input_width)[0], []
+        return _as_matrix(np.ascontiguousarray(x), bundle.arch.input_width)[0]
     bundle.discretizer._check_width(x.shape[1])
-    plan = bundle.stack._full_plan if every_window or bundle.features_mode == "concat" else bundle.stack._read_plan
-    outputs = _walk(plan, (x > bundle.discretizer.thresholds).view(np.uint8))
-    return _join_outputs(outputs, bundle.features_mode), outputs
-
-
-def bundle_features(bundle: ModelBundle, features: np.ndarray) -> np.ndarray:
-    """The classifier's input: raw feature rows pushed through the bundle's discretizer and stack."""
-    return _served(bundle, features)[0]
+    plan = bundle.stack._full_plan if bundle.features_mode == "concat" else bundle.stack._read_plan
+    return _join_outputs(_walk(plan, (x > bundle.discretizer.thresholds).view(np.uint8)), bundle.features_mode)
 
 
 def predict_bundle(bundle: ModelBundle, features: np.ndarray) -> np.ndarray:
@@ -174,8 +168,10 @@ def layer_maps(bundle: ModelBundle, features: np.ndarray) -> list[np.ndarray]:
     array per layer."""
     if bundle.stack is None:
         raise DataError("bundle has no window layers to map")
+    rows = np.array(features, dtype=np.float64)  # a copy: a dataset freezes the array it holds
+    levels = apply_discretizer(bundle.discretizer, RealDataset(rows, np.zeros(rows.shape[:1], dtype=np.int64)))
     grids = [layer.output_grid for layer in bundle.stack.layers]
-    return [out.reshape(-1, g.rows, g.cols) for g, out in zip(grids, _served(bundle, features, every_window=True)[1])]
+    return [out.features.reshape(-1, g.rows, g.cols) for g, out in zip(grids, stack_outputs(bundle.stack, levels))]
 
 
 @dataclass(frozen=True)

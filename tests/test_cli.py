@@ -606,17 +606,36 @@ def copied_bundle(tmp_path, fit_dir):
     return bad
 
 
-def test_unservable_bundle_exits_3(tmp_path, synth_dir, fit_dir, capsys):
+def assert_predict_refuses_layer0(tmp_path, synth_dir, fit_dir, capsys, subset_flat, complaint):
+    """Layer 0 with `subset_flat` is refused when built, and as a saved bundle at
+    `predict --bundle` with exit 3, no traceback and no output."""
     layer = load_bundle(fit_dir / "model.bundle").stack.layers[0]
-    subset_flat = layer.subset_flat + layer.input_grid.size
-    with pytest.raises(DataError, match="subset index"):
+    with pytest.raises(DataError, match=complaint):
         dataclasses.replace(layer, subset_flat=subset_flat)
     bad = copied_bundle(tmp_path, fit_dir)
     with_arrays(bad, **{"layer0/subset_flat": subset_flat})
     code, _, err = predict_exit(capsys, tmp_path, synth_dir, bad)
     assert code == 3
-    assert "subset index" in err
+    assert complaint in err
+    assert "Traceback" not in err
     assert not (tmp_path / "p").exists()
+
+
+def test_unservable_bundle_exits_3(tmp_path, synth_dir, fit_dir, capsys):
+    layer = load_bundle(fit_dir / "model.bundle").stack.layers[0]
+    subset_flat = layer.subset_flat + layer.input_grid.size
+    assert_predict_refuses_layer0(tmp_path, synth_dir, fit_dir, capsys, subset_flat, "subset index")
+
+
+def test_repeated_subset_index_exits_3(tmp_path, synth_dir, fit_dir, capsys):
+    """A subset that reads one column twice, which the merged tables would serve
+    unlike the layer-by-layer walk, fails closed at `predict --bundle`."""
+    layer = load_bundle(fit_dir / "model.bundle").stack.layers[0]
+    at = int(np.cumsum(layer.subset_len)[np.flatnonzero(layer.subset_len > 1)[0]]) - 1  # a window's last index
+    subset_flat = layer.subset_flat.copy()
+    subset_flat[at] = subset_flat[at - 1]
+    complaint = "subset indices are not strictly ascending within a window"
+    assert_predict_refuses_layer0(tmp_path, synth_dir, fit_dir, capsys, subset_flat, complaint)
 
 
 def test_weights_disagreeing_with_the_architecture_exit_3(tmp_path, synth_dir, fit_dir, capsys):

@@ -473,6 +473,25 @@ def test_no_module_uses_the_per_window_forms():
         assert not {"transform_stack", "WindowFeature"} & named, path.name
 
 
+def test_only_the_two_edges_walk_a_plan():
+    """`_walk` has one caller per kind of row: `stack_outputs` for discrete rows
+    and `bundle_features` for raw rows. Every other package path, `layer_maps`
+    and scoring included, reaches it through one of them; no module names it
+    anywhere else, whether to call it or to pass it on."""
+    package = Path(convlayer.__file__).parent
+    named = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}  # each node's innermost enclosing function: `ast.walk` yields outer ones first
+        for f in ast.walk(tree):
+            if isinstance(f, ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda):
+                owner.update((id(n), getattr(f, "name", "<lambda>")) for n in ast.walk(f))
+        for n in ast.walk(tree):
+            if getattr(n, "id", None) == "_walk" or getattr(n, "attr", None) == "_walk":
+                named.add((path.name, owner.get(id(n), "<module>")))
+    assert named == {("convlayer.py", "stack_outputs"), ("pipeline.py", "bundle_features")}
+
+
 def dense_lookup(layer):
     """The dense stage `transform` serves `layer` by, None when over `TABLE_LIMIT`."""
     return ConvStack((layer,), ())._full_plan[0][0][0]

@@ -430,6 +430,13 @@ def reversed_first_window(layer, arr):
     return np.concatenate([arr[:n][::-1], arr[n:]])
 
 
+def first_subset_edited(layer, edit):
+    """`subset_flat` with window 0's subset, of at least two indices, replaced by `edit` of it."""
+    n = layer.subset_len[0]
+    assert n > 1
+    return np.concatenate([edit(layer.subset_flat[:n].copy()), layer.subset_flat[n:]])
+
+
 # each case makes layer 0 unservable: its replacement arrays, and the
 # complaint expected both when the layer is built and when the same arrays
 # are written over a saved bundle, every checksum kept valid
@@ -450,6 +457,14 @@ BAD_LAYERS = {
     "subset lengths disagree with the subsets": (
         lambda la: {"subset_flat": la.subset_flat[:-1]},
         "subset lengths do not add up",
+    ),
+    "subset repeats an index": (
+        lambda la: {"subset_flat": first_subset_edited(la, lambda sub: replaced_at(sub, 1, sub[0]))},
+        "subset indices are not strictly ascending within a window",
+    ),
+    "subset indices out of order": (
+        lambda la: {"subset_flat": first_subset_edited(la, lambda sub: sub[::-1])},
+        "subset indices are not strictly ascending within a window",
     ),
     "cell counts disagree with the cells": (
         lambda la: {"cell_means": la.cell_means[:-1]},

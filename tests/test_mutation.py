@@ -1,10 +1,11 @@
 """Seeded mutation tests of the input edges.
 
-Bundles: every mutated bundle either serves finite scores in [0, 1] or is
-refused with an `InterconvError`. Each case rewrites one thing in a saved
-bundle and recomputes the CRC-32 of the section it touched, so the mutation
-reaches the checks behind the checksum: a manifest value, an array's dims
-(with a payload that matches them), one array value, or one subset index.
+Bundles: every mutated bundle either serves finite scores in [0, 1], with
+its classifier input bitwise that of the layer-by-layer walk over every
+window, or is refused with an `InterconvError`. Each case rewrites one thing
+in a saved bundle and recomputes the CRC-32 of the section it touched, so the
+mutation reaches the checks behind the checksum: a manifest value, an array's
+dims (with a payload that matches them), one array value, or one subset index.
 
 Text inputs: mutated PGM images and dataset CSVs either load or are refused
 with an `InterconvError`, through the readers and through `interconv
@@ -47,9 +48,10 @@ from interconv import (
     save_bundle,
 )
 from interconv.cli import DEFAULTS, main
+from interconv.convlayer import _join_outputs, _walk
 from interconv.dataio import load_images, read_dataset_csv
 from interconv.pgm import _tokens, read_pgm
-from interconv.pipeline import layer_maps
+from interconv.pipeline import bundle_features, layer_maps
 
 CASES = 600
 
@@ -166,6 +168,12 @@ def test_mutated_bundles_serve_or_are_refused(tmp_path, make):
             outputs = [predict_bundle(bundle, rows), predict_bundle(bundle, rows[:1])]
             if bundle.stack is not None:
                 outputs += layer_maps(bundle, rows)
+                # enough rows that a merged table disagreeing on a few level combinations shows
+                many = np.random.default_rng(1).random((400, width))
+                levels = (many > bundle.discretizer.thresholds).view(np.uint8)
+                staged = _join_outputs(_walk(bundle.stack._full_plan, levels), bundle.features_mode)
+                walked = bundle_features(bundle, many)
+                assert (walked.shape, walked.tobytes()) == (staged.shape, staged.tobytes()), what
         except InterconvError:
             refused += 1
             continue

@@ -267,6 +267,28 @@ def test_layer_maps_shapes():
         layer_maps(flat, data.features[:3])
 
 
+def test_layer_maps_keeps_its_refusals():
+    """`layer_maps` refuses a bundle without window layers, a non-finite row
+    and a row of another width, each as a `DataError` and with the message
+    of the check that owns the rule: its own, `RealDataset`'s and the
+    discretizer's."""
+    data = synthetic_real(seed=5)
+    bundle, _ = fit_pipeline(small_config(layers=(WindowSpec(2, 1), WindowSpec(2, 1))), data)
+    flat, _ = fit_pipeline(PipelineConfig(hyper=TrainingHyper(epochs=1)), synthetic_real(seed=6))
+    rows = data.features[:3].copy()
+    rows[1, 4] = np.nan
+    width = data.width
+    cases = [
+        (flat, data.features[:3], "bundle has no window layers to map"),
+        (bundle, rows, "features must be finite"),
+        (bundle, data.features[:3, 1:], f"discretizer was fit on {width} columns, data has {width - 1}"),
+    ]
+    for served, features, message in cases:
+        with pytest.raises(DataError) as info:
+            layer_maps(served, features)
+        assert type(info.value) is DataError and str(info.value) == message, message
+
+
 def test_workers_has_no_effect():
     data = synthetic_real(seed=7)
     serial, _ = fit_pipeline(small_config(workers=1), data)
@@ -494,7 +516,7 @@ def checked_stack(bundle, x):
 
 def read_windows(stack):
     """Per layer, the 0-based windows the last layer's features read, by sets
-    over `features`: the rule `_served` codes a "last" stack by."""
+    over `features`: the rule `bundle_features` codes a "last" stack by."""
     read = [set(range(stack.layers[-1].n_windows))]
     for layer in reversed(stack.layers[1:]):
         read.insert(0, {j for f in layer.features if f.window_index - 1 in read[0] for j in f.selected_subset})
@@ -581,7 +603,9 @@ def test_served_walk_matches_the_checked_stack(mode, rows, case, seed):
         assert same_bytes(predict_bundle(bundle, fresh), forward(bundle, joined.features))
         for served, checked in zip(layer_maps(bundle, fresh), outputs, strict=True):
             assert same_bytes(served.reshape(n, -1), checked.features)
-        coded = [out.shape[1] for out in pipeline._served(bundle, fresh)[1]]
+        plan = bundle.stack._full_plan if mode == "concat" else bundle.stack._read_plan
+        levels = (fresh > bundle.discretizer.thresholds).view(np.uint8)
+        coded = [out.shape[1] for out in convlayer._walk(plan, levels)]
         if mode == "concat":
             assert coded == every
         elif merge and not over:
